@@ -1,0 +1,6 @@
+"""Layered performance benchmark for the failover simulator.
+
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` runs one workload and prints its metrics; see
+``perfbench/README.md`` and ``BENCHMARK.json`` at the repository root.
+"""
