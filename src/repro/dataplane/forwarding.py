@@ -126,13 +126,14 @@ class ForwardingPlane:
         re-resolves the next hop at that future instant. ``on_complete``
         fires exactly once, with delivery or a drop.
         """
-        self._hop(packet, start_node, (start_node,), on_complete, {})
+        self._hop(packet, start_node, (start_node,), start_node, on_complete, {})
 
     def _hop(
         self,
         packet: Packet,
         node: str,
         path: tuple[str, ...],
+        last_concrete: str,
         on_complete: Callable[[ForwardResult], None],
         seen: dict[str, str],
     ) -> None:
@@ -142,7 +143,12 @@ class ForwardingPlane:
         dropped immediately as ``LOOP`` instead of burning all
         ``MAX_HOPS`` hops of simulated latency first. A revisit whose
         FIB entry changed mid-flight is a transient loop (convergence in
-        progress) and keeps going under the hop-count fallback."""
+        progress) and keeps going under the hop-count fallback.
+
+        ``last_concrete`` is the most recent non-distributed node on
+        ``path`` (``path[0]`` if there is none), carried from hop to hop
+        for :meth:`Topology.hop_latency` -- the same rule
+        :meth:`Topology.path_latency` applies to a whole path."""
         engine = self.network.engine
         if len(path) > MAX_HOPS:
             self._finish(
@@ -165,19 +171,16 @@ class ForwardingPlane:
             )
             return
         seen[node] = next_hop
-        last_concrete = self._last_concrete(path)
-        latency = self.topology.hop_latency(last_concrete, node, next_hop)
+        topology = self.topology
+        latency = topology.hop_latency(last_concrete, node, next_hop)
+        if next_hop not in topology.distributed_nodes():
+            last_concrete = next_hop
         engine.schedule(
             latency,
-            lambda: self._hop(packet, next_hop, path + (next_hop,), on_complete, seen),
+            lambda: self._hop(
+                packet, next_hop, path + (next_hop,), last_concrete, on_complete, seen
+            ),
         )
-
-    def _last_concrete(self, path: tuple[str, ...]) -> str:
-        """Most recent non-distributed node on the path (see geo model)."""
-        for node in reversed(path):
-            if not self.topology.ases[node].as_class.is_distributed:
-                return node
-        return path[0]
 
     def _finish(
         self, result: ForwardResult, on_complete: Callable[[ForwardResult], None]

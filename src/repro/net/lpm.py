@@ -1,21 +1,22 @@
-"""Longest-prefix-match trie.
+"""Longest-prefix-match table.
 
-A binary (one bit per level) trie mapping prefixes to arbitrary values.
-Used as the backing store for router FIBs: forwarding a packet is one
-:meth:`LpmTrie.lookup` per hop, so lookup walks at most ``bits`` nodes
-and remembers the deepest match.
+Prefixes are kept in one dict per prefix length, keyed by the masked
+network integer. Used as the backing store for router FIBs: forwarding a
+packet is one :meth:`LpmTrie.lookup` per hop, which masks the address
+once per distinct length present (longest first) and returns the first
+hit. A FIB holds only a handful of lengths (the CDN /24 and /23, the
+per-AS prefixes), so a lookup is a few dict probes and allocates
+nothing: the stored ``(prefix, value)`` pair is returned as is.
 
-The trie is address-family generic: ``bits=32`` (the default) stores
+The table is address-family generic: ``bits=32`` (the default) stores
 :class:`~repro.net.addr.IPv4Prefix` keys, ``bits=128`` stores
-:class:`~repro.net.addr.IPv6Prefix` keys. Mixing families in one trie is
-rejected, as real FIBs keep separate v4/v6 tables.
+:class:`~repro.net.addr.IPv6Prefix` keys. Mixing families in one table
+is rejected, as real FIBs keep separate v4/v6 tables.
 """
 
 from __future__ import annotations
 
 from typing import Generic, Iterator, Protocol, TypeVar
-
-from repro.net.addr import IPv4Prefix, IPv6Prefix
 
 V = TypeVar("V")
 
@@ -35,42 +36,39 @@ class _PrefixLike(Protocol):
     def bits(self) -> int: ...
 
 
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[_Node[V] | None] = [None, None]
-        self.value: V | None = None
-        self.has_value = False
-
-
 class LpmTrie(Generic[V]):
-    """Binary trie with longest-prefix-match lookup.
+    """Per-prefix-length tables with longest-prefix-match lookup.
 
-    >>> trie = LpmTrie()
-    >>> trie.insert(IPv4Prefix.parse("10.0.0.0/8"), "coarse")
-    >>> trie.insert(IPv4Prefix.parse("10.1.0.0/16"), "fine")
-    >>> trie.lookup(IPv4Address.parse("10.1.2.3"))
+    >>> table = LpmTrie()
+    >>> table.insert(IPv4Prefix.parse("10.0.0.0/8"), "coarse")
+    >>> table.insert(IPv4Prefix.parse("10.1.0.0/16"), "fine")
+    >>> table.lookup(IPv4Address.parse("10.1.2.3"))
     (IPv4Prefix('10.1.0.0/16'), 'fine')
     """
+
+    __slots__ = ("_bits", "_tables", "_order")
 
     def __init__(self, bits: int = 32) -> None:
         if bits not in (32, 128):
             raise ValueError(f"bits must be 32 or 128, got {bits}")
         self._bits = bits
-        self._prefix_type = IPv4Prefix if bits == 32 else IPv6Prefix
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        #: {length: {masked network: (prefix, value)}}, no empty tables
+        self._tables: dict[int, dict[int, tuple[_PrefixLike, V]]] = {}
+        #: (netmask, table) pairs, longest length first; rebuilt only when
+        #: a length gains its first entry or loses its last
+        self._order: list[tuple[int, dict[int, tuple[_PrefixLike, V]]]] = []
 
     @property
     def bits(self) -> int:
         return self._bits
 
     def __len__(self) -> int:
-        return self._size
+        return sum(len(table) for table in self._tables.values())
 
     def __contains__(self, prefix: _PrefixLike) -> bool:
-        return self._has_exact(prefix)
+        self._check_family(prefix.bits)
+        table = self._tables.get(prefix.length)
+        return table is not None and prefix.network in table
 
     def _check_family(self, bits: int) -> None:
         if bits != self._bits:
@@ -78,24 +76,12 @@ class LpmTrie(Generic[V]):
                 f"address family mismatch: trie is {self._bits}-bit, key is {bits}-bit"
             )
 
-    def _walk(self, prefix: _PrefixLike, create: bool) -> _Node[V] | None:
-        node = self._root
-        top = self._bits - 1
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (top - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        return node
-
-    def _has_exact(self, prefix: _PrefixLike) -> bool:
-        self._check_family(prefix.bits)
-        node = self._walk(prefix, create=False)
-        return node is not None and node.has_value
+    def _reorder(self) -> None:
+        full = (1 << self._bits) - 1
+        self._order = [
+            ((full << (self._bits - length)) & full, self._tables[length])
+            for length in sorted(self._tables, reverse=True)
+        ]
 
     def insert(self, prefix: _PrefixLike, value: V) -> None:
         """Insert or replace the value at ``prefix``.
@@ -106,100 +92,55 @@ class LpmTrie(Generic[V]):
         if value is None:
             raise ValueError("LpmTrie cannot store None (get() uses None for 'absent')")
         self._check_family(prefix.bits)
-        node = self._walk(prefix, create=True)
-        assert node is not None
-        if not node.has_value:
-            self._size += 1
-        node.value = value
-        node.has_value = True
+        table = self._tables.get(prefix.length)
+        if table is None:
+            table = self._tables[prefix.length] = {}
+            self._reorder()
+        table[prefix.network] = (prefix, value)
 
     def remove(self, prefix: _PrefixLike) -> bool:
         """Remove ``prefix``; returns True if it was present.
 
-        Interior nodes left without a value or children are pruned, so
-        announce/withdraw churn (reactive-anycast's steady state) cannot
-        grow the trie without bound.
+        A length's table is dropped once its last entry goes, so
+        announce/withdraw churn (reactive-anycast's steady state) neither
+        grows the table set nor leaves empty probes on the lookup path.
         """
         self._check_family(prefix.bits)
-        path: list[tuple[_Node[V], int]] = []  # (parent, bit taken from it)
-        node = self._root
-        top = self._bits - 1
-        for depth in range(prefix.length):
-            bit = (prefix.network >> (top - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
+        table = self._tables.get(prefix.length)
+        if table is None or table.pop(prefix.network, None) is None:
             return False
-        node.value = None
-        node.has_value = False
-        self._size -= 1
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None
-            if child.has_value or child.children[0] is not None or child.children[1] is not None:
-                break
-            parent.children[bit] = None
+        if not table:
+            del self._tables[prefix.length]
+            self._reorder()
         return True
 
     def get(self, prefix: _PrefixLike) -> V | None:
         """Exact-match lookup (no LPM); None means absent."""
         self._check_family(prefix.bits)
-        node = self._walk(prefix, create=False)
-        if node is None or not node.has_value:
-            return None
-        return node.value
+        entry = self._tables.get(prefix.length, {}).get(prefix.network)
+        return None if entry is None else entry[1]
 
-    def node_count(self) -> int:
-        """Number of trie nodes, the root included (a churn diagnostic:
-        after every prefix is removed this returns to 1)."""
-        count = 0
-        stack: list[_Node[V]] = [self._root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            for child in node.children:
-                if child is not None:
-                    stack.append(child)
-        return count
+    def table_count(self) -> int:
+        """Number of non-empty per-length tables (a churn diagnostic:
+        after every prefix is removed this returns to 0)."""
+        return len(self._tables)
 
     def lookup(self, address: _AddressLike) -> tuple[_PrefixLike, V] | None:
         """Longest-prefix match for ``address``; None if nothing matches."""
         self._check_family(address.bits)
-        node = self._root
-        best: tuple[_PrefixLike, V] | None = None
-        if node.has_value:
-            best = (self._prefix_type(0, 0), node.value)  # type: ignore[arg-type]
         value = address.value
-        network = 0
-        top = self._bits - 1
-        for depth in range(self._bits):
-            bit = (value >> (top - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            network |= bit << (top - depth)
-            node = child
-            if node.has_value:
-                best = (self._prefix_type(network, depth + 1), node.value)  # type: ignore[arg-type]
-        return best
+        for mask, table in self._order:
+            entry = table.get(value & mask)
+            if entry is not None:
+                return entry
+        return None
 
     def items(self) -> Iterator[tuple[_PrefixLike, V]]:
-        """Iterate all (prefix, value) pairs in depth-first order."""
-        top = self._bits - 1
-        stack: list[tuple[_Node[V], int, int]] = [(self._root, 0, 0)]
-        while stack:
-            node, network, depth = stack.pop()
-            if node.has_value:
-                yield self._prefix_type(network, depth), node.value  # type: ignore[misc]
-            for bit in (1, 0):
-                child = node.children[bit]
-                if child is not None:
-                    stack.append((child, network | (bit << (top - depth)), depth + 1))
+        """Iterate all (prefix, value) pairs, longest prefixes first."""
+        for _, table in self._order:
+            yield from table.values()
 
     def clear(self) -> None:
         """Remove all entries."""
-        self._root = _Node()
-        self._size = 0
+        self._tables = {}
+        self._order = []

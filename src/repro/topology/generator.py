@@ -94,11 +94,13 @@ class Topology:
     _static_routes: dict = field(default_factory=dict, repr=False, compare=False)
     #: (n_ases, n_links) the memo was built against; growth invalidates
     _static_routes_key: tuple = field(default=(0, 0), repr=False, compare=False)
-    #: lazily built {node: {neighbor: relationship}} adjacency index and
-    #: {(a, b): latency} link index -- pure functions of ``links``, so
-    #: they share the same growth-invalidation key as the route memo.
+    #: lazily built {node: {neighbor: relationship}} adjacency index,
+    #: {(a, b): latency} link index and set of distributed nodes -- pure
+    #: functions of ``ases`` and ``links``, so they share the same
+    #: growth-invalidation key as the route memo.
     _adjacency: dict = field(default_factory=dict, repr=False, compare=False)
     _latencies: dict = field(default_factory=dict, repr=False, compare=False)
+    _distributed: frozenset = field(default=frozenset(), repr=False, compare=False)
     _index_key: tuple = field(default=(-1, -1), repr=False, compare=False)
 
     # ------------------------------------------------------------------
@@ -148,8 +150,9 @@ class Topology:
             self._static_routes_key = key
         return self._static_routes
 
-    def _link_index(self) -> tuple[dict, dict]:
-        """Adjacency/latency indexes, rebuilt if the topology grew.
+    def _link_index(self) -> tuple[dict, dict, frozenset]:
+        """Adjacency/latency/distributed indexes, rebuilt if the
+        topology grew.
 
         ``neighbors`` and ``link_latency`` used to scan ``links`` on
         every call -- O(links) each, and both sit on the forwarding hot
@@ -158,6 +161,9 @@ class Topology:
         them to dict lookups."""
         key = (len(self.ases), len(self.links))
         if self._index_key != key:
+            self._distributed = frozenset(
+                node for node, info in self.ases.items() if info.as_class.is_distributed
+            )
             adjacency: dict[str, dict[str, Relationship]] = {}
             latencies: dict[tuple[str, str], float] = {}
             for link in self.links:
@@ -168,16 +174,20 @@ class Topology:
             self._adjacency = adjacency
             self._latencies = latencies
             self._index_key = key
-        return self._adjacency, self._latencies
+        return self._adjacency, self._latencies, self._distributed
 
     def neighbors(self, node_id: str) -> dict[str, Relationship]:
         """Neighbors of ``node_id`` with the relationship of each neighbor
         from ``node_id``'s perspective (a fresh copy; mutate freely)."""
-        adjacency, _ = self._link_index()
+        adjacency, _, _ = self._link_index()
         return dict(adjacency.get(node_id, {}))
 
+    def distributed_nodes(self) -> frozenset[str]:
+        """Nodes whose AS class is distributed (see :meth:`hop_latency`)."""
+        return self._link_index()[2]
+
     def link_latency(self, a: str, b: str) -> float:
-        _, latencies = self._link_index()
+        _, latencies, _ = self._link_index()
         try:
             return latencies[(a, b)]
         except KeyError:
@@ -193,22 +203,31 @@ class Topology:
         where the path entered (``last_concrete``) to the next concrete
         network.
         """
-        a_info = self.ases[a]
-        b_info = self.ases[b]
-        if b_info.as_class.is_distributed:
+        _, latencies, distributed = self._link_index()
+        return self._priced_hop(latencies, distributed, last_concrete, a, b)
+
+    def _priced_hop(
+        self, latencies: dict, distributed: frozenset, last_concrete: str, a: str, b: str
+    ) -> float:
+        """:meth:`hop_latency` against already-fetched indexes."""
+        if b in distributed:
             return ACCESS_LATENCY_S
-        if a_info.as_class.is_distributed:
+        if a in distributed:
             entry = self.ases[last_concrete].location
-            return link_latency_s(entry, b_info.location)
-        return self.link_latency(a, b)
+            return link_latency_s(entry, self.ases[b].location)
+        try:
+            return latencies[(a, b)]
+        except KeyError:
+            raise KeyError(f"no link {a!r} <-> {b!r}") from None
 
     def path_latency(self, path: list[str]) -> float:
         """One-way latency along a node path, distributed-aware."""
+        _, latencies, distributed = self._link_index()
         total = 0.0
         last_concrete = path[0]
         for a, b in zip(path, path[1:]):
-            total += self.hop_latency(last_concrete, a, b)
-            if not self.ases[b].as_class.is_distributed:
+            total += self._priced_hop(latencies, distributed, last_concrete, a, b)
+            if b not in distributed:
                 last_concrete = b
         return total
 

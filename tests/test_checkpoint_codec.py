@@ -17,9 +17,11 @@ from repro.checkpoint import (
     restore_network,
     snapshot_network,
 )
+from repro.core.techniques import ProactiveSuperprefix
 from repro.net.addr import IPv4Prefix
+from repro.topology.testbed import SECOND_PREFIX, SPECIFIC_PREFIX, SUPERPREFIX
 
-from tests.conftest import build_line_network
+from tests.conftest import FAST_TIMING, build_line_network
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
 PFX2 = IPv4Prefix.parse("184.164.245.0/24")
@@ -259,3 +261,50 @@ class TestTelemetryRebinding:
 
         assert any(isinstance(e, RootCause) for e in tracer.events)
         assert any(isinstance(e, BgpUpdateSent) for e in tracer.events)
+
+
+class TestRestoreEquivalence:
+    """A restored router's FIB is rebuilt eagerly from the snapshot: it
+    must hold exactly the source's entries and resolve every address the
+    experiment forwards to the same next hop."""
+
+    @pytest.fixture(scope="class")
+    def source_and_fork(self, deployment):
+        network = deployment.topology.build_network(seed=5, timing=FAST_TIMING)
+        ProactiveSuperprefix().announce_normal(
+            network, deployment, "msn", SPECIFIC_PREFIX, SUPERPREFIX
+        )
+        network.announce(deployment.site_node("ams"), SECOND_PREFIX)
+        network.converge()
+        return network, restore_network(snapshot_network(network))
+
+    def test_fib_entries_identical(self, source_and_fork):
+        source, fork = source_and_fork
+        assert fork.routers.keys() == source.routers.keys()
+        for node_id, router in source.routers.items():
+            restored = fork.routers[node_id].fib
+            assert sorted(restored.items()) == sorted(router.fib.items()), node_id
+
+    def test_next_hops_agree(self, source_and_fork, deployment):
+        source, fork = source_and_fork
+        cdn = [
+            prefix.address(host)
+            for prefix in (SPECIFIC_PREFIX, SECOND_PREFIX, SUPERPREFIX)
+            for host in (0, 10, 255)
+        ]
+        clients = [
+            info.prefix.address(1)
+            for info in deployment.topology.ases.values()
+            if info.prefix is not None
+        ]
+        assert clients
+        lengths = set()
+        for node_id in source.routers:
+            for address in cdn + clients:
+                expected = source.next_hop(node_id, address)
+                assert fork.next_hop(node_id, address) == expected, (node_id, address)
+                match = source.routers[node_id].fib.lookup(address)
+                if match is not None:
+                    lengths.add(match[0].length)
+        # The /24s and the covering /23 all win somewhere.
+        assert {23, 24} <= lengths

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.addr import IPv4Address, IPv4Prefix
+from repro.net.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
 from repro.net.lpm import LpmTrie
 
 
@@ -103,26 +103,28 @@ class TestLpmTrieBasics:
 
 
 class TestNodePruning:
-    """remove() must prune dead interior nodes: announce/withdraw churn
-    (reactive-anycast's steady state) otherwise grows the trie forever."""
+    """remove() must drop a length's table once it is empty: announce/
+    withdraw churn (reactive-anycast's steady state) otherwise leaves
+    dead tables behind, each one an extra probe on every lookup."""
 
     def test_remove_prunes_back_to_root(self):
         trie = LpmTrie()
-        assert trie.node_count() == 1
+        assert trie.table_count() == 0
         trie.insert(P("10.1.2.0/24"), "v")
-        assert trie.node_count() == 25  # root + one node per bit
+        assert trie.table_count() == 1  # one /24 table
         trie.remove(P("10.1.2.0/24"))
-        assert trie.node_count() == 1
+        assert trie.table_count() == 0
 
     def test_remove_keeps_shared_spine(self):
         trie = LpmTrie()
         trie.insert(P("10.0.0.0/8"), "coarse")
         trie.insert(P("10.1.0.0/16"), "fine")
-        baseline = trie.node_count()
+        baseline = trie.table_count()
         trie.remove(P("10.1.0.0/16"))
-        assert trie.node_count() == 9  # root + the /8 spine
+        assert trie.table_count() == 1  # the /8 table stays
+        assert trie.lookup(A("10.1.2.3")) == (P("10.0.0.0/8"), "coarse")
         trie.insert(P("10.1.0.0/16"), "fine")
-        assert trie.node_count() == baseline
+        assert trie.table_count() == baseline
 
     def test_remove_keeps_deeper_entries(self):
         """Removing a covering prefix must not orphan the more-specific
@@ -132,30 +134,30 @@ class TestNodePruning:
         trie.insert(P("184.164.244.0/24"), "specific")
         trie.remove(P("184.164.244.0/23"))
         assert trie.lookup(A("184.164.244.10")) == (P("184.164.244.0/24"), "specific")
-        assert trie.node_count() == 25  # root + 24-bit spine, /23 node kept as spine
+        assert trie.table_count() == 1  # the /23 table is gone, the /24 kept
 
     def test_churn_does_not_grow_the_trie(self):
         """10k announce/withdraw cycles end at the pre-churn baseline."""
         trie = LpmTrie()
         trie.insert(P("184.164.244.0/23"), "superprefix")  # steady announcement
-        baseline = trie.node_count()
+        baseline = trie.table_count()
         flapping = P("184.164.244.0/24")
         for _ in range(10_000):
             trie.insert(flapping, "specific")
             assert trie.remove(flapping)
-        assert trie.node_count() == baseline
+        assert trie.table_count() == baseline
         assert len(trie) == 1
 
     def test_churn_across_many_prefixes(self):
         trie = LpmTrie()
-        baseline = trie.node_count()
+        baseline = trie.table_count()
         prefixes = [P(f"10.{i}.0.0/16") for i in range(64)]
         for _ in range(20):
             for prefix in prefixes:
                 trie.insert(prefix, str(prefix))
             for prefix in prefixes:
                 assert trie.remove(prefix)
-        assert trie.node_count() == baseline
+        assert trie.table_count() == baseline
         assert len(trie) == 0
 
 
@@ -224,3 +226,71 @@ class TestLpmTrieProperties:
         for prefix in prefixes:
             trie.insert(prefix, prefix.length)
         assert sorted(p for p, _ in trie.items()) == sorted(prefixes)
+
+
+def _family_ops(bits: int, address_type, prefix_type):
+    """Interleaved operations on one address family. Prefix lengths are
+    drawn from a few fixed values -- the default route, the host route
+    and three in between -- over a small address pool (eight networks,
+    four hosts each), so inserts,
+    removals and lookups collide often enough to exercise fallback
+    from a removed specific to a surviving cover."""
+    lengths = st.sampled_from([0, bits // 4, bits // 2, bits - 8, bits])
+    addresses = st.builds(
+        lambda high, low: address_type(high << (bits - 3) | low),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=3),
+    )
+    prefixes = st.builds(prefix_type.of, addresses, lengths)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("insert"), prefixes, st.integers()),
+            st.tuples(st.just("remove"), prefixes),
+            st.tuples(st.just("lookup"), addresses),
+            st.tuples(st.just("get"), prefixes),
+        ),
+        max_size=60,
+    )
+
+
+def _check_against_reference(bits: int, ops) -> None:
+    trie = LpmTrie(bits=bits)
+    reference: dict = {}
+    for op in ops:
+        kind = op[0]
+        if kind == "insert":
+            _, prefix, value = op
+            trie.insert(prefix, value)
+            reference[prefix] = value
+        elif kind == "remove":
+            prefix = op[1]
+            assert trie.remove(prefix) == (prefix in reference)
+            reference.pop(prefix, None)
+        elif kind == "get":
+            prefix = op[1]
+            assert trie.get(prefix) == reference.get(prefix)
+            assert (prefix in trie) == (prefix in reference)
+        else:
+            address = op[1]
+            covering = [p for p in reference if p.contains(address)]
+            best = max(covering, key=lambda p: p.length, default=None)
+            expected = None if best is None else (best, reference[best])
+            assert trie.lookup(address) == expected
+        assert len(trie) == len(reference)
+    assert dict(trie.items()) == reference
+    assert trie.table_count() == len({p.length for p in reference})
+
+
+class TestDifferentialAgainstDict:
+    """Interleaved insert/remove/lookup/get sequences agree with a
+    brute-force dict reference, in both address families."""
+
+    @settings(max_examples=200)
+    @given(_family_ops(32, IPv4Address, IPv4Prefix))
+    def test_ipv4_matches_reference(self, ops):
+        _check_against_reference(32, ops)
+
+    @settings(max_examples=200)
+    @given(_family_ops(128, IPv6Address, IPv6Prefix))
+    def test_ipv6_matches_reference(self, ops):
+        _check_against_reference(128, ops)
