@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from repro.analysis.findings import Finding, FindingCollector, Severity, emit_findings
 from repro.bgp.damping import DampingConfig
-from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
 from repro.core.scenarios import ScenarioEvent
 from repro.core.techniques import Combined, ProactiveSuperprefix, Technique
@@ -241,52 +240,16 @@ def check_prefix_plan(
 
 
 def check_topology(topology: Topology) -> list[Finding]:
-    """Structural sanity of a generated topology.
+    """Flag ASes with no links at all (unreachable probe targets).
 
-    The headline check is Gao-Rexford consistency: the customer->provider
-    digraph must be acyclic, or BGP's valley-free economics are violated
-    and convergence results are meaningless. Also flags ASes with no
-    links at all (unreachable probe targets).
+    Gao-Rexford consistency (an acyclic customer->provider digraph) is
+    the verifier's VER201, which the same pre-run gate runs.
     """
     findings: list[Finding] = []
-
-    # customer -> provider edges: link(a, b, rel) stores b's role from
-    # a's perspective, so PROVIDER means a pays b.
-    providers_of: dict[str, set[str]] = {node: set() for node in topology.ases}
     degree: dict[str, int] = {node: 0 for node in topology.ases}
     for link in topology.links:
         degree[link.a] += 1
         degree[link.b] += 1
-        if link.relationship is Relationship.PROVIDER:
-            providers_of[link.a].add(link.b)
-        elif link.relationship is Relationship.CUSTOMER:
-            providers_of[link.b].add(link.a)
-
-    # Kahn's algorithm on the customer->provider digraph; leftovers are
-    # exactly the nodes on provider cycles.
-    incoming = {node: 0 for node in providers_of}
-    for node, providers in providers_of.items():
-        for provider in providers:
-            incoming[provider] += 1
-    queue = [node for node, count in incoming.items() if count == 0]
-    seen = 0
-    while queue:
-        node = queue.pop()
-        seen += 1
-        for provider in providers_of[node]:
-            incoming[provider] -= 1
-            if incoming[provider] == 0:
-                queue.append(provider)
-    if seen < len(providers_of):
-        cyclic = sorted(node for node, count in incoming.items() if count > 0)
-        shown = ", ".join(cyclic[:8]) + ("..." if len(cyclic) > 8 else "")
-        findings.append(_error(
-            "PRE120",
-            f"provider-customer cycle involving {len(cyclic)} ASes ({shown}); "
-            "Gao-Rexford valley-free routing is violated",
-            "topology",
-        ))
-
     for node, count in sorted(degree.items()):
         if count == 0:
             findings.append(_warning(
@@ -556,11 +519,11 @@ def check_capacity(
     """Validate a ``--capacity`` profile before any load is offered.
 
     Like workload profiles, the capacity loader only type-checks; value
-    sanity lives here: non-positive rates (PRE150), limits for sites the
-    deployment does not have (PRE151), a capacity model with no workload
-    to measure against (PRE152), and a total capacity the workload's
-    *baseline* rate already exceeds, which makes every technique --
-    shedding included -- lose requests by construction (PRE153).
+    sanity lives here: non-positive rates (PRE150), and a total capacity
+    the workload's *baseline* rate already exceeds, which makes every
+    technique -- shedding included -- lose requests by construction
+    (PRE153). Limits for undeployed sites and a capacity profile without
+    a workload are the verifier's VER242 and VER243.
     """
     findings: list[Finding] = []
     if capacity is None:
@@ -582,23 +545,7 @@ def check_capacity(
                 "would serve nothing (fail it instead)",
                 source,
             ))
-    if deployment is not None:
-        deployed = set(deployment.site_names)
-        for site in sorted(set(capacity.site_rps) - deployed):
-            findings.append(_error(
-                "PRE151",
-                f"site_rps names unknown site {site!r}; "
-                f"deployment has {deployment.site_names}",
-                source,
-            ))
-    if workload is None:
-        findings.append(_warning(
-            "PRE152",
-            "capacity profile given without a workload; nothing offers "
-            "load, so capacity limits have no effect on this run",
-            source,
-        ))
-    elif deployment is not None and not findings:
+    if workload is not None and deployment is not None and not findings:
         limits = [capacity.capacity_for(s) for s in deployment.site_names]
         if all(limit is not None for limit in limits):
             total = sum(limit for limit in limits if limit is not None)

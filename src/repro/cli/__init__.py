@@ -30,8 +30,9 @@ Every command accepts ``--seed`` and the experiment ones accept scale
 knobs, so results are reproducible and tunable without code. ``-v``
 turns on INFO-level diagnostics (``-vv`` for DEBUG) on stderr; the
 experiment commands accept ``--trace``/``--metrics`` (see
-``docs/observability.md``) and run semantic pre-flight validation
-before any event fires (``--no-preflight`` overrides; see
+``docs/observability.md``) and run one pre-run gate -- the PRE1xx
+pre-flight checks, then the VER2xx control-plane verifier -- before
+any event fires (``--no-preflight`` overrides both; see
 ``docs/static-analysis.md``).
 """
 

@@ -1,7 +1,7 @@
-"""Shared CLI helpers: telemetry flags, sessions, and pre-flight checks.
+"""Shared CLI helpers: telemetry flags, sessions, and the pre-run gate.
 
-Every experiment subcommand (``failover``, ``compare``, ``drill``,
-``scenario``) accepts the same observability flags::
+Every experiment subcommand (``failover``, ``compare``, ``sweep``,
+``drill``, ``scenario``) accepts the same observability flags::
 
     --trace PATH        record a structured JSONL trace of the run
     --trace-limit N     keep only the newest N events (ring buffer)
@@ -12,13 +12,13 @@ Every experiment subcommand (``failover``, ``compare``, ``drill``,
 :class:`~repro.telemetry.Telemetry` for the duration of the command and
 handles the export on the way out.
 
-The same commands run the semantic pre-flight validator
-(:mod:`repro.analysis.preflight`) before any event fires;
-:func:`run_preflight` prints its findings and refuses the run on ERROR
-findings unless ``--no-preflight`` was given. They also run the static
-control-plane verifier (:mod:`repro.verify`) over the exact
-technique/fault configuration about to execute; :func:`run_verify`
-refuses on VER errors unless ``--no-verify`` was given.
+The same commands run one pre-run gate, :func:`run_gate`, before any
+event fires: the semantic pre-flight validator
+(:mod:`repro.analysis.preflight`, PRE1xx) and then the static
+control-plane verifier (:mod:`repro.verify`, VER2xx) over the exact
+technique/fault configuration about to execute. Findings go to stderr;
+ERROR findings from either layer refuse the run unless
+``--no-preflight`` was given.
 """
 
 from __future__ import annotations
@@ -170,94 +170,82 @@ def resolve_workload(args: argparse.Namespace):
 def add_preflight_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-preflight", action="store_true",
-        help="skip the semantic pre-flight validation (run even on errors)",
-    )
-    parser.add_argument(
-        "--no-verify", action="store_true",
-        help="skip the static control-plane verification (run even on "
-             "VER errors)",
+        help="run even when the pre-run gate (PRE1xx pre-flight and VER2xx "
+             "verify checks) reports errors; its findings are still printed",
     )
 
 
-def run_preflight(args: argparse.Namespace, deployment, **kwargs) -> bool:
-    """Validate an experiment before running it.
-
-    ``kwargs`` are forwarded to
-    :func:`repro.analysis.preflight.preflight_run`. Findings go to
-    stderr. Returns False (the command should exit with status 2) when
-    blocking findings exist and ``--no-preflight`` was not given.
-    """
-    from repro.analysis import preflight_run
-
-    report = preflight_run(deployment, **kwargs)
-    for finding in report.findings:
-        print(f"preflight: {finding.format()}", file=sys.stderr)
-    if report.ok:
-        return True
-    if getattr(args, "no_preflight", False):
-        print(
-            f"preflight: {len(report.errors)} error(s) overridden by --no-preflight",
-            file=sys.stderr,
-        )
-        return True
-    print(
-        f"preflight: refusing to run with {len(report.errors)} error(s); "
-        "use --no-preflight to override",
-        file=sys.stderr,
-    )
-    return False
-
-
-def run_verify(
+def run_gate(
     args: argparse.Namespace,
     deployment,
     techniques,
-    fault_plan=None,
-    duration: float | None = None,
-    damping=None,
+    *,
+    duration: float | None,
+    detection_delay: float | None = None,
     specific_site: str | None = None,
+    fault_plan=None,
+    events=None,
+    target_nodes=None,
     workload=None,
     capacity=None,
 ) -> bool:
-    """Statically verify the run's control-plane configuration.
+    """Validate an experiment before running it: pre-flight, then verify.
 
-    Builds a :class:`~repro.verify.world.VerifyWorld` from exactly what
-    the experiment is about to run — its deployment, technique roster,
-    fault plan, and duration — and runs the VER2xx analyses. Findings go
-    to stderr alongside the pre-flight ones. Returns False (the command
-    should exit with status 2) when blocking findings exist and
-    ``--no-verify`` was not given.
+    The PRE1xx checks (:func:`repro.analysis.preflight_run`) run first;
+    their errors refuse the run before the VER2xx analyses
+    (:func:`repro.verify.verify_world`) start, since symbolic
+    propagation is unsafe on a deployment that fails PRE122. The
+    pre-flight prefix plan is checked for the roster's technique when
+    there is exactly one, and technique-independently otherwise.
 
-    The gate runs in the parent process before any sweep fans out, so
-    its output is byte-identical for every ``--workers`` count.
+    Findings go to stderr. Returns False (the command should exit with
+    status 2) when either layer has blocking findings and
+    ``--no-preflight`` was not given. The gate runs in the parent
+    process before any sweep fans out, so its output is byte-identical
+    for every ``--workers`` count.
     """
+    from repro.analysis import preflight_run
     from repro.verify import VerifyWorld, verify_world
 
+    report = preflight_run(
+        deployment,
+        technique=techniques[0] if len(techniques) == 1 else None,
+        events=events,
+        duration=duration,
+        detection_delay=detection_delay,
+        target_nodes=target_nodes,
+        workload=workload,
+        capacity=capacity,
+    )
+    if not _gate_passes(args, "preflight", report):
+        return False
     world = VerifyWorld(
         deployment=deployment,
-        techniques=[t for t in techniques if t is not None],
+        techniques=techniques,
         specific_site=specific_site,
         fault_plan=fault_plan,
         duration=duration,
-        damping=damping,
         workload=workload,
         capacity=capacity,
         source="<run>",
     )
-    report = verify_world(world)
+    return _gate_passes(args, "verify", verify_world(world))
+
+
+def _gate_passes(args: argparse.Namespace, layer: str, report) -> bool:
     for finding in report.findings:
-        print(f"verify: {finding.format()}", file=sys.stderr)
+        print(f"{layer}: {finding.format()}", file=sys.stderr)
     if report.ok:
         return True
-    if getattr(args, "no_verify", False):
+    if getattr(args, "no_preflight", False):
         print(
-            f"verify: {len(report.errors)} error(s) overridden by --no-verify",
+            f"{layer}: {len(report.errors)} error(s) overridden by --no-preflight",
             file=sys.stderr,
         )
         return True
     print(
-        f"verify: refusing to run with {len(report.errors)} error(s); "
-        "use --no-verify to override",
+        f"{layer}: refusing to run with {len(report.errors)} error(s); "
+        "use --no-preflight to override",
         file=sys.stderr,
     )
     return False

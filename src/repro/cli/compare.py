@@ -10,8 +10,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     cell_timeout,
     report_sweep_failures,
-    run_preflight,
-    run_verify,
+    run_gate,
     sweep_progress,
     telemetry_session,
 )
@@ -68,17 +67,9 @@ def run(args: argparse.Namespace) -> int:
             # Load-shedding variants only differentiate themselves under
             # offered load; without --workload they are anycast clones.
             techniques.extend([ShedPrepend(), ShedWithdraw(), ShedDns()])
-        # technique=None validates the technique-independent plan (incl.
-        # the superprefix geometry), which covers the whole sweep.
-        if not run_preflight(
-            args, experiment.deployment, technique=None,
+        if not run_gate(
+            args, experiment.deployment, techniques,
             duration=args.duration, detection_delay=args.detection_delay,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, experiment.deployment, techniques, duration=args.duration,
             workload=experiment.config.workload,
             capacity=experiment.config.capacity,
         ):
@@ -105,6 +96,9 @@ def run(args: argparse.Namespace) -> int:
                 print(f"{technique.name:26s} {'-':>4s}  (all cells failed)")
                 continue
             outcomes = pooled_outcomes(results)
+            if not outcomes:
+                print(f"{technique.name:26s} {0:4d}  (no targets selected)")
+                continue
             recon = Cdf.from_optional([o.reconnection_s for o in outcomes])
             failover = Cdf.from_optional([o.failover_s for o in outcomes])
             failover_cdfs[technique.name] = failover

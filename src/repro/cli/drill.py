@@ -13,8 +13,7 @@ from repro.cli.common import (
     cell_timeout,
     resolve_capacity,
     resolve_workload,
-    run_preflight,
-    run_verify,
+    run_gate,
     sweep_progress,
     telemetry_session,
 )
@@ -69,17 +68,10 @@ def run(args: argparse.Namespace) -> int:
         ][: args.clients]
         workload = resolve_workload(args)
         capacity = resolve_capacity(args)
-        if not run_preflight(
-            args, deployment, technique=technique,
-            duration=args.deadline, target_nodes=clients,
-            workload=workload,
-            capacity=capacity,
-        ):
-            return 2
-        if not run_verify(
+        if not run_gate(
             args, deployment, [technique],
-            fault_plan=fault_plan, duration=args.deadline,
-            workload=workload, capacity=capacity,
+            duration=args.deadline, fault_plan=fault_plan,
+            target_nodes=clients, workload=workload, capacity=capacity,
         ):
             return 2
         drill = RotationDrill(

@@ -15,8 +15,7 @@ from repro.cli.common import (
     report_sweep_failures,
     resolve_capacity,
     resolve_workload,
-    run_preflight,
-    run_verify,
+    run_gate,
     telemetry_session,
 )
 from repro.core.experiment import FailoverConfig, FailoverExperiment
@@ -95,16 +94,10 @@ def run(args: argparse.Namespace) -> int:
         if args.site not in experiment.deployment.sites:
             print(f"unknown site {args.site!r}; have {experiment.deployment.site_names}")
             return 2
-        if not run_preflight(
-            args, experiment.deployment, technique=technique,
-            duration=args.duration, detection_delay=args.detection_delay,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
-            return 2
-        if not run_verify(
+        if not run_gate(
             args, experiment.deployment, [technique],
-            duration=args.duration, specific_site=args.site,
+            duration=args.duration, detection_delay=args.detection_delay,
+            specific_site=args.site,
             workload=experiment.config.workload,
             capacity=experiment.config.capacity,
         ):

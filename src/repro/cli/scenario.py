@@ -12,8 +12,7 @@ from repro.cli.common import (
     add_workload_arguments,
     resolve_capacity,
     resolve_workload,
-    run_preflight,
-    run_verify,
+    run_gate,
     telemetry_session,
 )
 from repro.core.scenarios import ScenarioRunner
@@ -83,20 +82,11 @@ def run(args: argparse.Namespace) -> int:
         events = args.event or [("fail", args.site, args.duration / 4)]
         workload = resolve_workload(args)
         capacity = resolve_capacity(args)
-        if not run_preflight(
-            args, deployment,
-            technique=technique_by_name(args.technique),
-            events=events, duration=args.duration,
-            workload=workload,
-            capacity=capacity,
-        ):
-            return 2
-        if not run_verify(
+        if not run_gate(
             args, deployment, [technique_by_name(args.technique)],
-            fault_plan=fault_plan, duration=args.duration,
-            specific_site=args.site,
-            workload=workload,
-            capacity=capacity,
+            duration=args.duration, specific_site=args.site,
+            fault_plan=fault_plan, events=events,
+            workload=workload, capacity=capacity,
         ):
             return 2
         catchment = anycast_catchment(deployment.topology, deployment, seed=args.seed)

@@ -20,8 +20,7 @@ from repro.cli.common import (
     add_telemetry_arguments,
     cell_timeout,
     report_sweep_failures,
-    run_preflight,
-    run_verify,
+    run_gate,
     sweep_progress,
     telemetry_session,
 )
@@ -81,15 +80,9 @@ def run(args: argparse.Namespace) -> int:
             if name == "proactive-prepending" else technique_by_name(name)
             for name in args.techniques
         ]
-        if not run_preflight(
-            args, experiment.deployment, technique=None,
+        if not run_gate(
+            args, experiment.deployment, techniques,
             duration=args.duration, detection_delay=args.detection_delay,
-            workload=experiment.config.workload,
-            capacity=experiment.config.capacity,
-        ):
-            return 2
-        if not run_verify(
-            args, experiment.deployment, techniques, duration=args.duration,
             workload=experiment.config.workload,
             capacity=experiment.config.capacity,
         ):

@@ -131,21 +131,6 @@ class TestTopology:
     def test_generated_topology_is_clean(self, deployment):
         assert check_topology(deployment.topology) == []
 
-    def test_provider_cycle_detected(self):
-        from repro.bgp.policy import Relationship
-        from repro.topology.generator import Topology
-
-        rng = random.Random(0)
-        topo = Topology(params=TopologyParams())
-        for name in ("a", "b", "c"):
-            topo.add_as(AsInfo(name, 1, AsClass.TRANSIT, place_in("us-west", rng)))
-        # a pays b, b pays c, c pays a: a money loop
-        topo.link("a", "b", Relationship.PROVIDER)
-        topo.link("b", "c", Relationship.PROVIDER)
-        topo.link("c", "a", Relationship.PROVIDER)
-        findings = check_topology(topo)
-        assert codes(findings) == ["PRE120"]
-
     def test_isolated_as_warns(self):
         from repro.topology.generator import Topology
 

@@ -193,6 +193,16 @@ class TestExtendedCommands:
         assert "proactive-superprefix" in out
         assert "failover time CDF" in out
 
+    def test_compare_technique_without_targets(self, capsys):
+        """A technique that selects no targets gets a row, not a crash."""
+        code = main([
+            "compare", "--sites", "sea1", "--targets", "2", "--duration", "30",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "anycast                       0  (no targets selected)" in out
+        assert "reactive-anycast" in out
+
     def test_compare_parallel_matches_serial(self, capsys):
         """--workers 2 prints byte-for-byte what the serial path prints."""
         argv = ["compare", "--sites", "msn", "--targets", "4", "--duration", "60"]

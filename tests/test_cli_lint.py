@@ -1,4 +1,4 @@
-"""CLI tests for ``repro lint`` and the experiment pre-flight gate."""
+"""CLI tests for ``repro lint`` and the experiment pre-run gate."""
 
 import argparse
 import json
@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cli.common import run_preflight
+from repro.cli.common import run_gate
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 
@@ -80,6 +80,10 @@ class TestLintCommand:
         assert "analysis.lint.findings" in out
 
 
+#: every experiment command that runs the pre-run gate
+GATED_COMMANDS = ("failover", "compare", "sweep", "drill", "scenario")
+
+
 class TestPreflightGate:
     def test_scenario_refuses_unknown_event_site(self, capsys):
         code = main(["scenario", "-e", "fail:lhr@60"])
@@ -93,17 +97,18 @@ class TestPreflightGate:
         assert code == 2
         assert "PRE105" in capsys.readouterr().err
 
-    def test_commands_expose_no_preflight_flag(self):
+    @pytest.mark.parametrize("command", GATED_COMMANDS)
+    def test_commands_expose_one_override_flag(self, command):
         parser = build_parser()
-        for command in ("failover", "compare", "drill", "scenario"):
-            args = parser.parse_args([command, "--no-preflight"])
-            assert args.no_preflight
+        assert parser.parse_args([command, "--no-preflight"]).no_preflight
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--no-verify"])
 
     def test_override_lets_errors_through(self, capsys):
         deployment = build_deployment(params=TopologyParams(seed=42))
         args = argparse.Namespace(no_preflight=True)
-        ok = run_preflight(
-            args, deployment, events=[("fail", "lhr", 60.0)], duration=300.0
+        ok = run_gate(
+            args, deployment, [], events=[("fail", "lhr", 60.0)], duration=300.0
         )
         assert ok
         assert "overridden by --no-preflight" in capsys.readouterr().err
@@ -111,8 +116,8 @@ class TestPreflightGate:
     def test_gate_blocks_without_override(self, capsys):
         deployment = build_deployment(params=TopologyParams(seed=42))
         args = argparse.Namespace(no_preflight=False)
-        ok = run_preflight(
-            args, deployment, events=[("fail", "lhr", 60.0)], duration=300.0
+        ok = run_gate(
+            args, deployment, [], events=[("fail", "lhr", 60.0)], duration=300.0
         )
         assert not ok
         assert "refusing to run" in capsys.readouterr().err
@@ -120,8 +125,8 @@ class TestPreflightGate:
     def test_warnings_do_not_block(self, capsys):
         deployment = build_deployment(params=TopologyParams(seed=42))
         args = argparse.Namespace(no_preflight=False)
-        ok = run_preflight(
-            args, deployment,
+        ok = run_gate(
+            args, deployment, [],
             events=[("fail", "sea1", 500.0)],  # after the end: warning only
             duration=300.0,
         )

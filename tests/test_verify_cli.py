@@ -1,16 +1,15 @@
-"""CLI tests for ``repro verify`` and the experiment verify gate."""
+"""CLI tests for ``repro verify`` and the verify layer of the pre-run gate."""
 
 import argparse
 import json
 from pathlib import Path
 
-import pytest
-
-from repro.cli import build_parser, main
-from repro.cli.common import run_verify
+from repro.cli import main
+from repro.cli.common import run_gate
 from repro.verify import load_world
 
 FIXTURES = Path(__file__).parent / "fixtures" / "verify"
+WORKLOAD_FIXTURES = Path(__file__).parent / "fixtures" / "workload"
 
 
 def fixture(stem: str) -> str:
@@ -92,31 +91,29 @@ class TestVerifyCommand:
 
 
 class TestVerifyGate:
-    def test_commands_expose_no_verify_flag(self):
-        parser = build_parser()
-        for command in ("failover", "compare", "sweep", "drill", "scenario"):
-            args = parser.parse_args([command, "--no-verify"])
-            assert args.no_verify
-
     def test_gate_blocks_on_errors(self, capsys):
         world = load_world(FIXTURES / "bad_gao_cycle.json")
-        args = argparse.Namespace(no_verify=False)
-        ok = run_verify(args, world.deployment, [])
+        args = argparse.Namespace(no_preflight=False)
+        ok = run_gate(args, world.deployment, [], duration=None)
         assert not ok
         err = capsys.readouterr().err
-        assert "VER201" in err and "--no-verify" in err
+        # The site-less world fails PRE123, which refuses before verify.
+        assert "PRE123" in err and "--no-preflight" in err
+        assert "verify:" not in err
 
     def test_override_lets_errors_through(self, capsys):
         world = load_world(FIXTURES / "bad_gao_cycle.json")
-        args = argparse.Namespace(no_verify=True)
-        ok = run_verify(args, world.deployment, [])
+        args = argparse.Namespace(no_preflight=True)
+        ok = run_gate(args, world.deployment, [], duration=None)
         assert ok
-        assert "overridden by --no-verify" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "VER201" in err
+        assert "verify: 1 error(s) overridden by --no-preflight" in err
 
     def test_warnings_do_not_block(self, capsys):
         world = load_world(FIXTURES / "bad_site_dark.json")
-        args = argparse.Namespace(no_verify=False)
-        ok = run_verify(args, world.deployment, world.techniques)
+        args = argparse.Namespace(no_preflight=False)
+        ok = run_gate(args, world.deployment, world.techniques, duration=None)
         assert ok
         assert "VER224" in capsys.readouterr().err
 
@@ -125,8 +122,10 @@ class TestVerifyGate:
         world = load_world(FIXTURES / "bad_site_dark.json")
         outputs = []
         for workers in (1, 2):
-            args = argparse.Namespace(no_verify=False, workers=workers)
-            assert run_verify(args, world.deployment, world.techniques)
+            args = argparse.Namespace(no_preflight=False, workers=workers)
+            assert run_gate(
+                args, world.deployment, world.techniques, duration=None
+            )
             outputs.append(capsys.readouterr().err)
         assert outputs[0] == outputs[1]
 
@@ -138,3 +137,25 @@ class TestGateEndToEnd:
             "--targets", "2", "--duration", "30", "--no-progress",
         ])
         assert code == 0
+
+    def test_unknown_capacity_site_is_one_finding(self, capsys):
+        """A defect both layers used to check is reported once, by VER242."""
+        code = main([
+            "failover", "--workload", "regional-surge",
+            "--capacity", str(WORKLOAD_FIXTURES / "bad_capacity_unknown_site.json"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert sum("VER242" in line for line in err.splitlines()) == 1
+        assert "PRE151" not in err
+        assert "use --no-preflight to override" in err
+
+    def test_capacity_without_workload_is_one_finding(self, capsys):
+        code = main([
+            "compare", "--capacity", "100", "--sites", "sea1",
+            "--targets", "2", "--duration", "30", "--no-progress",
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert sum("VER243" in line for line in err.splitlines()) == 1
+        assert "PRE152" not in err

@@ -305,17 +305,6 @@ class TestPreflightCapacity:
         assert self.codes(findings) == ["PRE150", "PRE150"]
         assert all(f.severity == Severity.ERROR for f in findings)
 
-    def test_unknown_site_is_error(self, deployment):
-        profile = CapacityProfile(name="typo", site_rps={"lhr": 100.0})
-        findings = check_capacity(profile, deployment, self.WORKLOAD)
-        assert self.codes(findings) == ["PRE151"]
-
-    def test_capacity_without_workload_warns(self):
-        profile = CapacityProfile(name="idle", default_rps=100.0)
-        findings = check_capacity(profile)
-        assert self.codes(findings) == ["PRE152"]
-        assert findings[0].severity == Severity.WARNING
-
     def test_total_below_baseline_warns(self, deployment):
         # 8 sites x 10 rps = 80 < the constant profile's 200 rps baseline.
         profile = CapacityProfile(name="tiny", default_rps=10.0)
