@@ -106,7 +106,8 @@ def append_performance_narrative() -> None:
     if fork:
         lines += [
             "**Checkpoint fork.** Converging each technique's baseline "
-            "once and forking it per cell turns the "
+            "once and forking it per cell (the only run path; the cold "
+            "side is the tests' cold-start reference) turns the "
             f"{fork['scenario']} from "
             f"{fork['baseline_converges_cold']} baseline convergences "
             f"into {fork['baseline_converges_forked']}: "

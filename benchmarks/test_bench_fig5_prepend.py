@@ -20,6 +20,9 @@ from benchmarks.conftest import report
 
 _results: dict[int, dict[str, Cdf]] = {}
 
+#: The deeper-topology companion's seeds: the default seed plus 1-9.
+DEEP_SEEDS = (42, *range(1, 10))
+
 
 def _run(experiment, prepend: int):
     outcomes = pooled_outcomes(experiment.run_all_sites(ProactivePrepending(prepend)))
@@ -75,7 +78,11 @@ def test_fig5_gap_emerges_on_deeper_topology(benchmark):
     multihoming), stale exploration paths grow long enough for the
     prepend-5 penalty to separate in the failover tail -- the paper's
     mechanism, visible where the simulated Internet is deep enough to
-    host it."""
+    host it.
+
+    The tail is pooled over a fixed set of seeds: about 10% of
+    prepend-3 outcomes are slow, so one seed's p90 lands on either side
+    of that share and flips between ~12 s and ~50 s."""
     from repro.core.experiment import FailoverConfig, FailoverExperiment
     from repro.topology.generator import TopologyParams
     from repro.topology.testbed import build_deployment
@@ -86,17 +93,20 @@ def test_fig5_gap_emerges_on_deeper_topology(benchmark):
             transit_remote_peering_prob=0.10, eyeball_multihome_prob=0.7,
         )
         deployment = build_deployment(params=params)
-        experiment = FailoverExperiment(
-            deployment.topology, deployment,
-            FailoverConfig(probe_duration=600.0, targets_per_site=30),
-        )
-        out = {}
-        for prepend in (3, 5):
-            outcomes = pooled_outcomes(
-                experiment.run_all_sites(ProactivePrepending(prepend))
+        outcomes = {3: [], 5: []}
+        for seed in DEEP_SEEDS:
+            experiment = FailoverExperiment(
+                deployment.topology, deployment,
+                FailoverConfig(probe_duration=600.0, targets_per_site=30, seed=seed),
             )
-            out[prepend] = Cdf.from_optional([o.failover_s for o in outcomes])
-        return out
+            for prepend in (3, 5):
+                outcomes[prepend] += pooled_outcomes(
+                    experiment.run_all_sites(ProactivePrepending(prepend))
+                )
+        return {
+            prepend: Cdf.from_optional([o.failover_s for o in pooled])
+            for prepend, pooled in outcomes.items()
+        }
 
     cdfs = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = [
@@ -109,6 +119,8 @@ def test_fig5_gap_emerges_on_deeper_topology(benchmark):
             f"| prepend-{prepend} (deep topology) | {cdf.median():.1f}s "
             f"| {cdf.quantile(0.9):.1f}s | {cdf.quantile(0.95):.1f}s | {cdf.n} |"
         )
+    lines.append("")
+    lines.append(f"pooled over seeds {', '.join(map(str, DEEP_SEEDS))}")
     report("Figure 5 companion — prepend penalty on a deeper hierarchy", lines)
 
     assert cdfs[5].quantile(0.95) >= cdfs[3].quantile(0.95)

@@ -181,7 +181,15 @@ class BgpRouter:
         return True
 
     def originated_prefixes(self) -> list[IPv4Prefix]:
-        return list(self._origins)
+        """The originated prefixes, most specific first.
+
+        The order is canonical, never origination history: a site
+        failure withdraws in this order, and only the first update to a
+        quiet neighbour leaves at once (later ones wait out an MRAI), so
+        the /24 withdrawal that superprefix failover waits on must not
+        queue behind the covering /23's.
+        """
+        return sorted(self._origins, key=lambda prefix: (-prefix.length, prefix.network))
 
     def origin_config(self, prefix: IPv4Prefix) -> OriginConfig | None:
         return self._origins.get(prefix)

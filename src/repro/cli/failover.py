@@ -40,12 +40,6 @@ def add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         "--silent", action="store_true",
         help="silent failure: the site cannot withdraw its own prefixes",
     )
-    parser.add_argument(
-        "--no-checkpoint", action="store_true",
-        help="cold-start every cell's baseline convergence instead of "
-             "forking the per-technique checkpoint (slower; the legacy "
-             "numerics -- see docs/checkpoint.md)",
-    )
     add_workload_arguments(parser)
 
 
@@ -60,12 +54,7 @@ def make_experiment(args: argparse.Namespace) -> FailoverExperiment:
         workload=resolve_workload(args),
         capacity=resolve_capacity(args),
     )
-    return FailoverExperiment(
-        deployment.topology,
-        deployment,
-        config,
-        use_checkpoint=not args.no_checkpoint,
-    )
+    return FailoverExperiment(deployment.topology, deployment, config)
 
 
 def register(subparsers) -> None:

@@ -13,9 +13,10 @@ Per ⟨technique, failed site⟩ the paper's procedure is:
    replies arrive;
 5. compute per-target reconnection and failover times (§5.4.1).
 
-:class:`FailoverExperiment` runs that protocol on a fresh network per
-run, sharing the anycast catchment and target selections (which depend
-only on the topology) across techniques.
+:class:`FailoverExperiment` runs that protocol on a fork of the
+technique's converged baseline per run (docs/checkpoint.md), sharing
+the anycast catchment and target selections (which depend only on the
+topology) across techniques.
 """
 
 from __future__ import annotations
@@ -119,18 +120,15 @@ class FailoverExperiment:
         hitlist: Hitlist | None = None,
         selections: dict[str, TargetSelection] | None = None,
         baselines: dict[str, NetworkSnapshot] | None = None,
-        use_checkpoint: bool = False,
+        use_checkpoint: bool = True,
     ) -> None:
+        """Every run forks its technique's converged baseline (see
+        :meth:`prepare_network`); ``use_checkpoint`` accepts only True."""
+        if use_checkpoint is not True:
+            raise ValueError("use_checkpoint accepts only True: every run forks")
         self.topology = topology
         self.deployment = deployment
         self.config = config or FailoverConfig()
-        #: run cells on the checkpoint/fork fast path (see
-        #: docs/checkpoint.md). Off by default in the library; the CLIs
-        #: turn it on (opt out with --no-checkpoint). The forked path is
-        #: self-deterministic but *not* numerically identical to the
-        #: legacy cold-start path: per-cell runs no longer spend RNG
-        #: draws on their own baseline convergence.
-        self.use_checkpoint = use_checkpoint
         # The keyword arguments pre-seed the topology-only caches; sweep
         # workers use them so shared state computed once in the parent is
         # never silently recomputed per process.
@@ -254,23 +252,50 @@ class FailoverExperiment:
     # ------------------------------------------------------------------
     # One run
 
-    def run_site(
-        self, technique: Technique, site: str, *, checkpoint: bool | None = None
-    ) -> SiteFailoverResult:
+    def prepare_network(
+        self,
+        technique: Technique,
+        site: str,
+        *,
+        seed: int,
+        capacity_state: CapacityState | None,
+    ) -> CdnController:
+        """Steps 1-2: a converged network with the cell's announcements up.
+
+        Forks the technique's converged base snapshot
+        (:meth:`baseline_for`), reseeds the forked RNG with the cell's
+        ``seed``, applies the per-site announcement delta and converges
+        only that delta. Returns the controller driving the network.
+        """
+        snapshot = self.baseline_for(technique)
+        telemetry = telemetry_registry.current()
+        with telemetry.phase("fork-restore", technique=technique.name, site=site):
+            network = restore_network(snapshot)
+            # The fork draws from a fresh per-cell stream; the
+            # baseline's RNG position is shared by every cell of the
+            # technique and must not leak cell-to-cell correlations.
+            network.rng.seed(seed)
+            controller = CdnController(
+                network=network,
+                deployment=self.deployment,
+                technique=technique,
+                prefix=SPECIFIC_PREFIX,
+                superprefix=SUPERPREFIX,
+                detection_delay=self.config.detection_delay,
+                capacity_state=capacity_state,
+            )
+            controller.deploy_specific(site)
+            network.converge()
+        return controller
+
+    def run_site(self, technique: Technique, site: str) -> SiteFailoverResult:
         """Fail ``site`` under ``technique`` and measure every target.
 
-        ``checkpoint`` overrides the experiment-wide ``use_checkpoint``
-        for this one cell. On the checkpoint path the cell forks the
-        technique's converged base snapshot (:meth:`baseline_for`),
-        reseeds the forked RNG from the cell's crc32 tag, applies the
-        per-site announcement delta, and converges only that delta --
-        the failure+probe window then runs exactly as on the legacy
-        path. Forked cells are self-deterministic (byte-identical across
-        repeats and worker counts) but numerically different from
-        cold-started cells: the per-cell RNG no longer spends draws on
-        baseline convergence.
+        :meth:`prepare_network` forks the technique's converged baseline
+        and converges the cell's own announcements; the failure and
+        probe window then run on that network. Runs are deterministic:
+        byte-identical across repeats and worker counts.
         """
-        use_checkpoint = self.use_checkpoint if checkpoint is None else checkpoint
         config = self.config
         telemetry = telemetry_registry.current()
         # Each run gets a fresh network; drop any previous run's clock so
@@ -287,41 +312,10 @@ class FailoverExperiment:
             capacity_state = CapacityState(
                 config.capacity, self.deployment.site_names
             )
-        if use_checkpoint:
-            snapshot = self.baseline_for(technique)
-            with telemetry.phase("fork-restore", **tags):
-                network = restore_network(snapshot)
-                # The fork draws from a fresh per-cell stream; the
-                # baseline's RNG position is shared by every cell of the
-                # technique and must not leak cell-to-cell correlations.
-                network.rng.seed(run_seed)
-                controller = CdnController(
-                    network=network,
-                    deployment=self.deployment,
-                    technique=technique,
-                    prefix=SPECIFIC_PREFIX,
-                    superprefix=SUPERPREFIX,
-                    detection_delay=config.detection_delay,
-                    capacity_state=capacity_state,
-                )
-                controller.deploy_specific(site)
-                network.converge()
-        else:
-            with telemetry.phase("deploy-converge", **tags):
-                network = self.topology.build_network(
-                    seed=run_seed, timing=config.timing, damping=config.damping
-                )
-                controller = CdnController(
-                    network=network,
-                    deployment=self.deployment,
-                    technique=technique,
-                    prefix=SPECIFIC_PREFIX,
-                    superprefix=SUPERPREFIX,
-                    detection_delay=config.detection_delay,
-                    capacity_state=capacity_state,
-                )
-                controller.deploy(site)
-                network.converge()
+        controller = self.prepare_network(
+            technique, site, seed=run_seed, capacity_state=capacity_state
+        )
+        network = controller.network
 
         # The clock guard keeps the run network's engine bound as the
         # trace clock: target selection builds throwaway networks

@@ -79,7 +79,7 @@ class Technique(abc.ABC):
     # ------------------------------------------------------------------
     # Checkpoint/fork decomposition (see docs/checkpoint.md)
     #
-    # The sweep's checkpoint path splits announce_normal into a
+    # Every experiment run splits announce_normal into a
     # site-independent *base* (converged once per technique, then
     # snapshotted) and a per-site *specific* delta (applied on each
     # fork). The invariant every override must keep:
@@ -87,10 +87,12 @@ class Technique(abc.ABC):
     #   announce_base(); converge(); announce_specific(site); converge()
     #
     # reaches the same origin configurations as announce_normal(site).
-    # Convergence of the delta is cheap because it only *adds* or
-    # re-shapes announcements -- fresh announcements propagate in
-    # seconds, and it is withdrawals (which never appear here) that pay
-    # path hunting.
+    # The order the two steps originate a site's prefixes in does not
+    # matter: withdrawal order is canonical (most specific first, see
+    # BgpRouter.originated_prefixes). Convergence of the delta is cheap
+    # because it only *adds* or re-shapes announcements -- fresh
+    # announcements propagate in seconds, and it is withdrawals (which
+    # never appear here) that pay path hunting.
 
     @property
     def baseline_key(self) -> str:

@@ -68,26 +68,22 @@ class SweepShared:
     catchment: dict[str, str | None]
     hitlist: Hitlist
     selections: dict[str, TargetSelection]
-    #: per-technique converged base snapshots (checkpoint path); like
-    #: the selections, computed once in the parent so every worker forks
-    #: byte-identical baselines.
+    #: per-technique converged base snapshots; like the selections,
+    #: computed once in the parent so every worker forks byte-identical
+    #: baselines.
     baselines: dict[str, NetworkSnapshot] = field(default_factory=dict)
-    use_checkpoint: bool = False
 
 
 def shared_state(experiment: FailoverExperiment, cells: list[SweepCell]) -> SweepShared:
     """Precompute the topology-only state every cell in ``cells`` needs.
 
     Forces the experiment's catchment/hitlist/selection caches for each
-    cell's ⟨site, selection mode⟩ -- and, on the checkpoint path, each
-    technique's converged baseline snapshot -- so workers receive them
-    ready-made.
+    cell's ⟨site, selection mode⟩ and each technique's converged
+    baseline snapshot, so workers receive them ready-made.
     """
     for cell in cells:
         experiment.selection_for(cell.site, mode=cell.technique.selection_mode)
-    if experiment.use_checkpoint:
-        for cell in cells:
-            experiment.baseline_for(cell.technique)
+        experiment.baseline_for(cell.technique)
     return SweepShared(
         topology=experiment.topology,
         deployment=experiment.deployment,
@@ -96,7 +92,6 @@ def shared_state(experiment: FailoverExperiment, cells: list[SweepCell]) -> Swee
         hitlist=experiment.hitlist,
         selections=experiment.cached_selections(),
         baselines=experiment.cached_baselines(),
-        use_checkpoint=experiment.use_checkpoint,
     )
 
 
@@ -110,7 +105,6 @@ def _run_cell(shared: SweepShared, cell: SweepCell) -> SiteFailoverResult:
         hitlist=shared.hitlist,
         selections=shared.selections,
         baselines=shared.baselines,
-        use_checkpoint=shared.use_checkpoint,
     )
     return experiment.run_site(cell.technique, cell.site)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.bgp.network import BgpNetwork
 from repro.bgp.policy import Relationship
 from repro.bgp.session import SessionTiming
@@ -10,6 +11,7 @@ from repro.net.addr import IPv4Address, IPv4Prefix
 from tests.conftest import build_line_network
 
 PFX = IPv4Prefix.parse("184.164.244.0/24")
+SUPER = IPv4Prefix.parse("184.164.244.0/23")
 ADDR = IPv4Address.parse("184.164.244.10")
 
 
@@ -81,6 +83,27 @@ class TestControlSurface:
         assert set(withdrawn) == {PFX, other}
         net.converge()
         assert net.router("r1").best_route(PFX) is None
+
+    def test_withdraw_all_sends_most_specific_first(self):
+        """Only the first update to a quiet neighbour leaves at once; the
+        rest wait out an MRAI. A site that originated its covering /23
+        before its /24 must still put the /24 withdrawal on the wire
+        first, or superprefix failover waits one MRAI longer."""
+        tracer = telemetry.TraceRecorder()
+        with telemetry.using(telemetry.Telemetry(tracer=tracer)):
+            net = build_line_network(2, timing=SessionTiming(latency=0.01, mrai=30.0))
+            net.announce("r0", SUPER)
+            net.announce("r0", PFX)
+            net.converge()
+            mark = len(tracer.events)
+            withdrawn = net.withdraw_all("r0")
+        assert withdrawn == [PFX, SUPER]
+        sent = [
+            (e.sender, e.prefix, e.update)
+            for e in tracer.events[mark:]
+            if isinstance(e, telemetry.BgpUpdateSent)
+        ]
+        assert sent == [("r0", str(PFX), "withdraw")]
 
     def test_next_hop_chain(self):
         net = build_line_network(3)

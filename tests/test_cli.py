@@ -44,6 +44,12 @@ class TestParser:
         args = build_parser().parse_args(["compare"])
         assert args.workers == 1  # default stays serial
 
+    @pytest.mark.parametrize("command", ["failover", "compare", "sweep"])
+    def test_no_checkpoint_is_gone(self, command):
+        """Every run forks; there is no cold-start switch to parse."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--no-checkpoint"])
+
     def test_workers_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--workers", "0"])

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.controller import CdnController
-from repro.core.techniques import Anycast, ReactiveAnycast, Unicast
+from repro.core.techniques import (
+    Anycast,
+    ProactiveSuperprefix,
+    ReactiveAnycast,
+    Unicast,
+)
 from repro.dns.authoritative import AuthoritativeServer, StaticMapping
 from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
@@ -32,6 +37,23 @@ class TestFailureHandling:
         assert SPECIFIC_PREFIX in event.withdrawn_prefixes
         node = deployment.site_node("sea1")
         assert controller.network.router(node).originated_prefixes() == []
+
+    @pytest.mark.parametrize("silent", [False, True])
+    def test_withdrawn_prefixes_most_specific_first(self, deployment, silent):
+        """A forked deployment originates the site's /23 (base plan)
+        before its /24 (per-site delta); the failure still withdraws, and
+        records, the /24 first."""
+        controller = make_controller(deployment, ProactiveSuperprefix())
+        net = controller.network
+        controller.technique.announce_base(
+            net, deployment, SPECIFIC_PREFIX, SUPERPREFIX
+        )
+        net.converge()
+        controller.deploy_specific("sea1")
+        net.converge()
+        fail = controller.fail_site_silently if silent else controller.fail_site
+        event = fail("sea1")
+        assert event.withdrawn_prefixes == (SPECIFIC_PREFIX, SUPERPREFIX)
 
     def test_detection_delay_gates_reaction(self, deployment):
         controller = make_controller(deployment, ReactiveAnycast(), detection_delay=5.0)

@@ -70,11 +70,15 @@ def test_phases_cover_the_protocol(traced_run):
     _, tracer, _ = traced_run
     starts = {e.name for e in tracer.events_of(telemetry.PhaseStart)}
     ends = {e.name: e for e in tracer.events_of(telemetry.PhaseEnd)}
-    expected = {"deploy-converge", "select-targets", "fail-probe", "analyze"}
+    per_cell = {"fork-restore", "select-targets", "fail-probe", "analyze"}
+    expected = per_cell | {"baseline-converge"}
     assert expected <= starts
     assert expected <= set(ends)
-    for name in expected:
+    # The baseline is per technique; every other phase is per cell.
+    assert ends["baseline-converge"].tags == {"technique": "anycast"}
+    for name in per_cell:
         assert ends[name].tags == {"technique": "anycast", "site": "msn"}
+    for name in expected:
         assert ends[name].wall_s >= 0.0
     # The probing phase spans the configured simulated window.
     assert ends["fail-probe"].sim_s >= SMALL.probe_duration

@@ -231,14 +231,12 @@ class TestDeterminismUnderCapacity:
             workload=builtin_profile("constant"),
             capacity=self.CAPACITY,
         )
-        return FailoverExperiment(
-            deployment.topology, deployment, config, use_checkpoint=True
-        )
+        return FailoverExperiment(deployment.topology, deployment, config)
 
     def test_checkpoint_fork_byte_identical(self, deployment):
         experiment = self.make_experiment(deployment)
-        first = experiment.run_site(ShedPrepend(), "msn", checkpoint=True)
-        second = experiment.run_site(ShedPrepend(), "msn", checkpoint=True)
+        first = experiment.run_site(ShedPrepend(), "msn")
+        second = experiment.run_site(ShedPrepend(), "msn")
         assert first.workload is not None
         assert first.workload.lost_overload > 0
         assert first.workload.to_dict() == second.workload.to_dict()

@@ -33,9 +33,7 @@ def make_experiment(deployment, **overrides):
         workload=overrides.pop("workload", PROFILE),
         **overrides,
     )
-    return FailoverExperiment(
-        deployment.topology, deployment, config, use_checkpoint=True
-    )
+    return FailoverExperiment(deployment.topology, deployment, config)
 
 
 class TestFailoverIntegration:
@@ -66,8 +64,8 @@ class TestFailoverIntegration:
         """Two forks of the same baseline produce identical accounts:
         workload state is outside the network snapshot by design."""
         experiment = make_experiment(deployment)
-        first = experiment.run_site(ReactiveAnycast(), "msn", checkpoint=True)
-        second = experiment.run_site(ReactiveAnycast(), "msn", checkpoint=True)
+        first = experiment.run_site(ReactiveAnycast(), "msn")
+        second = experiment.run_site(ReactiveAnycast(), "msn")
         assert first.workload.to_dict() == second.workload.to_dict()
 
     def test_serial_vs_two_workers_byte_identical(self, deployment):
