@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.bgp.messages import Announcement, Update, Withdrawal
 from repro.bgp.policy import (
     LOCAL_ORIGIN_PREF,
-    Relationship,
     import_local_pref,
     should_export,
 )
@@ -397,9 +396,6 @@ class BgpRouter:
         """
         session = self.sessions[remote]
         return self._build_export(session, prefix, self.loc_rib.get(prefix))
-
-    def relationship_to(self, remote: str) -> Relationship:
-        return self.sessions[remote].relationship
 
     def __repr__(self) -> str:
         return f"BgpRouter({self.node_id!r}, AS{self.asn})"

@@ -100,7 +100,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logs.configure(args.verbose)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SystemExit as refused:  # a resolve_* helper refused its input
+        return refused.code
 
 
 if __name__ == "__main__":  # pragma: no cover

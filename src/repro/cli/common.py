@@ -149,11 +149,28 @@ def resolve_capacity(args: argparse.Namespace):
         raise SystemExit(2) from error
 
 
+def resolve_fault_plan(args: argparse.Namespace):
+    """The parsed ``--faults`` plan, or None when the flag is absent.
+
+    Load errors print to stderr and exit 2, like ``--workload``.
+    """
+    path = getattr(args, "faults", None)
+    if path is None:
+        return None
+    from repro.faults import load_fault_plan
+
+    try:
+        return load_fault_plan(path)
+    except (OSError, ValueError) as error:
+        print(f"cannot load fault plan: {error}", file=sys.stderr)
+        raise SystemExit(2) from error
+
+
 def resolve_workload(args: argparse.Namespace):
     """The parsed ``--workload`` profile, or None when the flag is absent.
 
     Load errors (unknown builtin, unreadable/malformed JSON) print to
-    stderr and exit 2, matching the fault-plan loader convention.
+    stderr and exit 2.
     """
     spec = getattr(args, "workload", None)
     if spec is None:

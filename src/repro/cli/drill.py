@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.cli.common import (
     add_parallel_arguments,
@@ -12,6 +11,7 @@ from repro.cli.common import (
     add_workload_arguments,
     cell_timeout,
     resolve_capacity,
+    resolve_fault_plan,
     resolve_workload,
     run_gate,
     sweep_progress,
@@ -19,7 +19,6 @@ from repro.cli.common import (
 )
 from repro.core.drill import RotationDrill
 from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.faults import load_fault_plan
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 
@@ -54,13 +53,7 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     with telemetry_session(args):
-        fault_plan = None
-        if args.faults is not None:
-            try:
-                fault_plan = load_fault_plan(args.faults)
-            except (OSError, ValueError) as error:
-                print(f"cannot load fault plan: {error}", file=sys.stderr)
-                return 2
+        fault_plan = resolve_fault_plan(args)
         deployment = build_deployment(params=TopologyParams(seed=args.seed))
         technique = technique_by_name(args.technique)
         clients = [

@@ -21,6 +21,7 @@ from repro.cli.common import (
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import TECHNIQUES, technique_by_name
 from repro.measurement.stats import summarize
+from repro.parallel import SweepCell, run_sweep
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
 
@@ -93,21 +94,16 @@ def run(args: argparse.Namespace) -> int:
             return 2
         print(f"failing {args.site} under {technique.name} "
               f"({'silent' if args.silent else 'withdrawing'} failure) ...")
-        if args.workers > 1:
-            # One cell, but run through the pool: the run gets crash
-            # isolation and the per-cell timeout instead of hanging.
-            from repro.parallel import SweepCell, run_sweep
-
-            report = run_sweep(
-                experiment, [SweepCell(technique, args.site)],
-                workers=args.workers, timeout_s=cell_timeout(args),
-            )
-            if not report.ok:
-                report_sweep_failures(report)
-                return 1
-            result = report.site_results()[0]
-        else:
-            result = experiment.run_site(technique, args.site)
+        # One cell through the pool, like every sweep: with workers the
+        # run gets crash isolation and the per-cell timeout.
+        report = run_sweep(
+            experiment, [SweepCell(technique, args.site)],
+            workers=args.workers, timeout_s=cell_timeout(args),
+        )
+        if not report.ok:
+            report_sweep_failures(report)
+            return 1
+        result = report.site_results()[0]
         print(f"selected {len(result.selection.targets)} targets, "
               f"{len(result.controllable)} controllable pre-failure")
         print(f"reconnection: {summarize([o.reconnection_s for o in result.outcomes]).row()}")

@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import argparse
 import logging
-import sys
 
 from repro.cli.common import (
     add_preflight_arguments,
     add_telemetry_arguments,
     add_workload_arguments,
     resolve_capacity,
+    resolve_fault_plan,
     resolve_workload,
     run_gate,
     telemetry_session,
 )
 from repro.core.scenarios import ScenarioRunner
 from repro.core.techniques import TECHNIQUES, technique_by_name
-from repro.faults import load_fault_plan
 from repro.measurement.catchment import anycast_catchment
 from repro.topology.generator import TopologyParams
 from repro.topology.testbed import build_deployment
@@ -68,13 +67,7 @@ def register(subparsers) -> None:
 
 def run(args: argparse.Namespace) -> int:
     with telemetry_session(args):
-        fault_plan = None
-        if args.faults is not None:
-            try:
-                fault_plan = load_fault_plan(args.faults)
-            except (OSError, ValueError) as error:
-                print(f"cannot load fault plan: {error}", file=sys.stderr)
-                return 2
+        fault_plan = resolve_fault_plan(args)
         deployment = build_deployment(params=TopologyParams(seed=args.seed))
         if args.site not in deployment.sites:
             print(f"unknown site {args.site!r}; have {deployment.site_names}")

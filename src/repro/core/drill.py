@@ -12,25 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import zlib
-
 from repro.bgp.session import SessionTiming
-from repro.core.controller import CdnController
+from repro.core.cell import attach_workload, capacity_violations, deploy_cell
 from repro.core.techniques import Technique
 from repro.dataplane.forwarding import ForwardingPlane
-from repro.faults import (
-    FaultInjector,
-    FaultPlan,
-    check_invariants,
-    check_site_capacity,
-)
-from repro.net.addr import IPv4Prefix
+from repro.faults import FaultPlan, check_invariants
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.testbed import SECOND_PREFIX, SUPERPREFIX, CdnDeployment
-from repro.workload.capacity import CapacityProfile, CapacityState
-from repro.workload.engine import WorkloadAccount, WorkloadEngine
+from repro.topology.testbed import SECOND_PREFIX, CdnDeployment
+from repro.workload.capacity import CapacityProfile
+from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
+
+#: bound on the post-deadline settle before the invariant audit (sim s)
+SETTLE_S = 3600.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,15 +57,14 @@ class DrillOutcome:
 class RotationDrill:
     """Rotates a test-prefix failure through every site.
 
-    Uses :data:`SECOND_PREFIX` (the testbed's spare /24) by default so
-    production traffic on the primary prefix is never touched -- exactly
-    the paper's suggestion.
+    Uses :data:`SECOND_PREFIX` (the testbed's spare /24) so production
+    traffic on the primary prefix is never touched -- exactly the
+    paper's suggestion.
     """
 
     topology: Topology
     deployment: CdnDeployment
     technique: Technique
-    test_prefix: IPv4Prefix = SECOND_PREFIX
     deadline_s: float = 120.0
     detection_delay: float = 2.0
     timing: SessionTiming | None = None
@@ -80,11 +74,9 @@ class RotationDrill:
     #: land during each site's failover window
     fault_plan: FaultPlan | None = None
     #: audit global consistency (forwarding loops, advertised-sync,
-    #: RIB/FIB coherence) once each site's drill settles; violations are
-    #: recorded on the outcome and fail it
+    #: RIB/FIB coherence) once each site's drill settles (for at most
+    #: SETTLE_S); violations are recorded on the outcome and fail it
     check_invariants: bool = False
-    #: bound on the post-deadline settle time before the invariant audit
-    settle_s: float = 3600.0
     #: optional client traffic streamed through each site's deadline
     #: window (resolved against the *test* prefix, like the drill itself)
     workload: WorkloadProfile | None = None
@@ -95,66 +87,37 @@ class RotationDrill:
     outcomes: list[DrillOutcome] = field(default_factory=list)
 
     def run_site(self, site: str, clients: list[str]) -> DrillOutcome:
-        """Drill one site: deploy, fail, wait the deadline, audit."""
-        # Tagging the phase gives the availability ledger and the
-        # profiler their per-site run context.
-        with telemetry_registry.current().phase(
-            "drill", technique=self.technique.name, site=site
-        ):
-            return self._run_site(site, clients)
+        """Drill one site: deploy, fail, wait the deadline, audit.
+
+        The outcome is recorded on :attr:`outcomes`.
+        """
+        outcome = _drill_site_cell(self, (site, clients))
+        self.outcomes.append(outcome)
+        return outcome
 
     def _run_site(self, site: str, clients: list[str]) -> DrillOutcome:
-        network = self.topology.build_network(seed=self.seed, timing=self.timing)
-        capacity_state: CapacityState | None = None
-        if self.capacity is not None and self.workload is not None:
-            capacity_state = CapacityState(
-                self.capacity, self.deployment.site_names
-            )
-        controller = CdnController(
-            network=network,
-            deployment=self.deployment,
-            technique=self.technique,
-            prefix=self.test_prefix,
-            superprefix=SUPERPREFIX,
-            detection_delay=self.detection_delay,
-            capacity_state=capacity_state,
+        controller, injector = deploy_cell(
+            self.topology, self.deployment, self.technique, site,
+            seed=self.seed, timing=self.timing, fault_plan=self.fault_plan,
+            capacity=self.capacity if self.workload is not None else None,
+            prefix=SECOND_PREFIX, detection_delay=self.detection_delay,
         )
-        controller.deploy(site)
-        network.converge()
-        injector = None
-        if self.fault_plan is not None and len(self.fault_plan):
-            injector = FaultInjector(network, self.fault_plan, capacity=capacity_state)
-            injector.arm()
+        network = controller.network
         controller.fail_site(site)
-        workload_engine: WorkloadEngine | None = None
+        workload_engine = None
         if self.workload is not None:
-            workload_seed = (self.seed * 1000003) ^ zlib.crc32(
-                f"drill/{self.technique.name}/{site}/workload".encode()
+            workload_engine = attach_workload(
+                controller, ForwardingPlane(network, self.topology), self.workload,
+                seed=self.seed, key=f"drill/{self.technique.name}/{site}", site=site,
+                dead_sites={site}, duration=self.deadline_s, clients=clients,
+                dst=SECOND_PREFIX.address(1),
             )
-            workload_engine = WorkloadEngine(
-                ForwardingPlane(network, self.topology),
-                self.deployment,
-                self.workload,
-                seed=workload_seed,
-                clients=clients,
-                technique=self.technique.name,
-                site=site,
-                dead_sites={site},
-                dst=self.test_prefix.address(1),
-                capacity=capacity_state,
-                on_overload=(
-                    controller.site_overloaded
-                    if capacity_state is not None
-                    else None
-                ),
-            )
-            workload_engine.start(self.deadline_s)
         network.run_for(self.deadline_s)
 
         recovered = 0
         stranded: list[str] = []
         for client in clients:
-            route = network.router(client).best_route(self.test_prefix)
+            route = network.router(client).best_route(SECOND_PREFIX)
             if route is None:
                 stranded.append(client)
                 continue
@@ -168,29 +131,12 @@ class RotationDrill:
             # Let in-flight convergence (and any fault events scheduled
             # past the deadline) drain before auditing: the invariants
             # are only meaningful on a quiet network.
-            network.converge(max_seconds=self.settle_s)
+            network.converge(max_seconds=SETTLE_S)
             found = check_invariants(network).violations
-            if capacity_state is not None and workload_engine is not None:
-                engine = workload_engine
-
-                def resolve(client: str) -> str | None:
-                    resolution = engine.cache.resolve(client)
-                    if resolution.reason is not None or resolution.site is None:
-                        return None
-                    if resolution.site in engine.dead_sites:
-                        return None
-                    return resolution.site
-
-                found = found + check_site_capacity(
-                    self.deployment,
-                    self.workload,
-                    capacity_state,
-                    engine.clients,
-                    resolve,
-                    regions=engine.regions,
-                )
+            if controller.capacity_state is not None and workload_engine is not None:
+                found = found + capacity_violations(workload_engine)
             violations = tuple(v.format() for v in found)
-        outcome = DrillOutcome(
+        return DrillOutcome(
             site=site,
             recovered=recovered,
             stranded=len(stranded),
@@ -200,8 +146,6 @@ class RotationDrill:
             faults_skipped=injector.skipped if injector is not None else 0,
             workload=workload_engine.account if workload_engine is not None else None,
         )
-        self.outcomes.append(outcome)
-        return outcome
 
     def run_rotation(
         self,
@@ -213,23 +157,21 @@ class RotationDrill:
     ) -> list[DrillOutcome]:
         """Drill every site once; returns per-site outcomes.
 
-        ``workers > 1`` drills sites in parallel worker processes (each
-        drill is an independent simulation seeded only by ``seed``), with
-        outcomes merged back in site order -- identical to the serial
-        path. A crashed or timed-out site drill raises ``RuntimeError``.
+        Runs through :func:`repro.parallel.pool.map_cells` for every
+        ``workers`` value (1 drills in-process; each drill is an
+        independent simulation seeded only by ``seed``), with outcomes
+        recorded in site order. A crashed or timed-out site drill
+        raises ``RuntimeError``.
         """
-        if clients is None:
-            clients = [info.node_id for info in self.topology.web_client_ases()]
-        sites = self.deployment.site_names
-        if workers <= 1:
-            return [self.run_site(site, clients) for site in sites]
         # Local import: keeps repro.core importable without repro.parallel.
         from repro.parallel.pool import map_cells
 
+        if clients is None:
+            clients = [info.node_id for info in self.topology.web_client_ases()]
         results = map_cells(
             _drill_site_cell,
             self,
-            [(f"drill/{site}", (site, clients)) for site in sites],
+            [(f"drill/{site}", (site, clients)) for site in self.deployment.site_names],
             workers=workers,
             timeout_s=timeout_s,
             progress=progress,
@@ -247,11 +189,12 @@ class RotationDrill:
 
 
 def _drill_site_cell(drill: RotationDrill, payload: tuple[str, list[str]]) -> DrillOutcome:
-    """Worker entry point: one site's drill on a pickled drill copy.
-
-    The worker's ``drill`` is its own copy, so ``run_site``'s append to
-    ``outcomes`` stays local; the parent re-appends merged outcomes in
-    site order.
-    """
+    """Pool entry point: one site's drill, left for the caller to record
+    (in a worker, ``drill`` is a pickled copy)."""
     site, clients = payload
-    return drill.run_site(site, clients)
+    # Tagging the phase gives the availability ledger and the profiler
+    # their per-site run context.
+    with telemetry_registry.current().phase(
+        "drill", technique=drill.technique.name, site=site
+    ):
+        return drill._run_site(site, clients)

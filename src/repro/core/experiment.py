@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
 from repro.checkpoint import NetworkSnapshot, restore_network, snapshot_network
+from repro.core.cell import DRAIN_SLACK_S, PROBE_INTERVAL_S, attach_workload, wire_controller
 from repro.core.controller import CdnController
 from repro.core.metrics import TargetOutcome, outcomes_for_run
 from repro.core.techniques import Technique
@@ -44,8 +45,8 @@ from repro.topology.testbed import (
     SUPERPREFIX,
     CdnDeployment,
 )
-from repro.workload.capacity import CapacityProfile, CapacityState
-from repro.workload.engine import WorkloadAccount, WorkloadEngine
+from repro.workload.capacity import CapacityProfile
+from repro.workload.engine import WorkloadAccount
 from repro.workload.profile import WorkloadProfile
 
 
@@ -53,8 +54,7 @@ from repro.workload.profile import WorkloadProfile
 class FailoverConfig:
     """Experiment parameters (§5.2 defaults, scaled where noted)."""
 
-    #: probing cadence and window ("every ~1.5s for ~600s")
-    probe_interval: float = 1.5
+    #: probing window ("for ~600s"; the cadence is PROBE_INTERVAL_S)
     probe_duration: float = 600.0
     #: monitoring/control reaction time after the failure
     detection_delay: float = 2.0
@@ -68,8 +68,6 @@ class FailoverConfig:
     seed: int = 42
     #: session timing profile (defaults to the calibrated Internet profile)
     timing: SessionTiming | None = DEFAULT_INTERNET_TIMING
-    #: slack after the probing window for in-flight events
-    drain_slack: float = 30.0
     #: if True, the failed site does NOT withdraw its own announcements
     #: (silent crash); the controller withdraws them after detection
     silent_failure: bool = False
@@ -258,14 +256,15 @@ class FailoverExperiment:
         site: str,
         *,
         seed: int,
-        capacity_state: CapacityState | None,
+        capacity: CapacityProfile | None,
     ) -> CdnController:
         """Steps 1-2: a converged network with the cell's announcements up.
 
         Forks the technique's converged base snapshot
         (:meth:`baseline_for`), reseeds the forked RNG with the cell's
         ``seed``, applies the per-site announcement delta and converges
-        only that delta. Returns the controller driving the network.
+        only that delta. Returns the controller driving the network,
+        carrying a capacity view when ``capacity`` is given.
         """
         snapshot = self.baseline_for(technique)
         telemetry = telemetry_registry.current()
@@ -275,14 +274,9 @@ class FailoverExperiment:
             # baseline's RNG position is shared by every cell of the
             # technique and must not leak cell-to-cell correlations.
             network.rng.seed(seed)
-            controller = CdnController(
-                network=network,
-                deployment=self.deployment,
-                technique=technique,
-                prefix=SPECIFIC_PREFIX,
-                superprefix=SUPERPREFIX,
-                detection_delay=self.config.detection_delay,
-                capacity_state=capacity_state,
+            controller = wire_controller(
+                network, self.deployment, technique,
+                capacity=capacity, detection_delay=self.config.detection_delay,
             )
             controller.deploy_specific(site)
             network.converge()
@@ -307,13 +301,9 @@ class FailoverExperiment:
         run_seed = (config.seed * 1000003) ^ run_tag
         # Capacity only binds when load is actually offered; without a
         # workload the state would sit unread all run.
-        capacity_state: CapacityState | None = None
-        if config.capacity is not None and config.workload is not None:
-            capacity_state = CapacityState(
-                config.capacity, self.deployment.site_names
-            )
         controller = self.prepare_network(
-            technique, site, seed=run_seed, capacity_state=capacity_state
+            technique, site, seed=run_seed,
+            capacity=config.capacity if config.workload is not None else None,
         )
         network = controller.network
 
@@ -345,34 +335,16 @@ class FailoverExperiment:
             prober.dead_sites.add(site)
             capture.clear()
             prober.start(
-                controllable, interval=config.probe_interval, duration=config.probe_duration
+                controllable, interval=PROBE_INTERVAL_S, duration=config.probe_duration
             )
-            workload_engine: WorkloadEngine | None = None
+            workload_engine = None
             if config.workload is not None:
-                # Its own RNG (never the network's) and read-only use of
-                # FIB state keep the workload from perturbing the run;
-                # sharing the prober's dead_sites set makes recoveries
-                # visible to requests the moment probing sees them.
-                workload_seed = (config.seed * 1000003) ^ zlib.crc32(
-                    f"{technique.name}/{site}/workload".encode()
+                workload_engine = attach_workload(
+                    controller, plane, config.workload,
+                    seed=config.seed, key=f"{technique.name}/{site}", site=site,
+                    dead_sites=prober.dead_sites, duration=config.probe_duration,
                 )
-                workload_engine = WorkloadEngine(
-                    plane,
-                    self.deployment,
-                    config.workload,
-                    seed=workload_seed,
-                    technique=technique.name,
-                    site=site,
-                    dead_sites=prober.dead_sites,
-                    capacity=capacity_state,
-                    on_overload=(
-                        controller.site_overloaded
-                        if capacity_state is not None
-                        else None
-                    ),
-                )
-                workload_engine.start(config.probe_duration)
-            network.run_for(config.probe_duration + config.drain_slack)
+            network.run_for(config.probe_duration + DRAIN_SLACK_S)
 
         with telemetry.phase("analyze", **tags):
             outcomes = outcomes_for_run(prober.logs, capture, site, event.failed_at)
@@ -397,18 +369,17 @@ class FailoverExperiment:
     ) -> list[SiteFailoverResult]:
         """Fig. 2's sweep: fail every site once under ``technique``.
 
-        ``workers > 1`` shards the sites over a process pool (see
-        :mod:`repro.parallel`); results are identical to the serial path
-        and returned in site order. A failed/timed-out cell raises
-        ``RuntimeError`` -- callers that need per-cell failure handling
-        should use :func:`repro.parallel.sweep.run_sweep` directly.
+        Runs through :func:`repro.parallel.sweep.run_sweep` for every
+        ``workers`` value (1 runs the cells in-process); results are
+        identical across worker counts and returned in site order. A
+        failed/timed-out cell raises ``RuntimeError`` -- callers that
+        need per-cell failure handling should call ``run_sweep``
+        directly.
         """
-        sites = sites if sites is not None else self.deployment.site_names
-        if workers <= 1:
-            return [self.run_site(technique, site) for site in sites]
         # Local import: repro.parallel.sweep imports this module.
         from repro.parallel.sweep import SweepCell, run_sweep
 
+        sites = sites if sites is not None else self.deployment.site_names
         cells = [SweepCell(technique, site) for site in sites]
         report = run_sweep(
             self, cells, workers=workers, timeout_s=timeout_s, progress=progress

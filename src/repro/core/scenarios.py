@@ -17,31 +17,27 @@ e.g. a few minutes per month").
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import DEFAULT_INTERNET_TIMING, SessionTiming
-from repro.core.controller import CdnController
+from repro.core.cell import (
+    DRAIN_SLACK_S,
+    PROBE_INTERVAL_S,
+    attach_workload,
+    capacity_violations,
+    deploy_cell,
+)
 from repro.core.techniques import Technique
 from repro.dataplane.capture import SiteCapture
 from repro.dataplane.forwarding import ForwardingPlane
 from repro.dataplane.ping import Prober
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import FaultPlan
 from repro.net.addr import IPv4Address
 from repro.telemetry import registry as telemetry_registry
 from repro.topology.generator import Topology
-from repro.topology.testbed import (
-    PROBE_SOURCE,
-    SPECIFIC_PREFIX,
-    SUPERPREFIX,
-    CdnDeployment,
-)
-from repro.workload.capacity import (
-    CapacityProfile,
-    CapacityState,
-    expected_site_load,
-)
+from repro.topology.testbed import PROBE_SOURCE, CdnDeployment
+from repro.workload.capacity import CapacityProfile
 from repro.workload.engine import WorkloadAccount, WorkloadEngine
 from repro.workload.profile import WorkloadProfile
 
@@ -131,7 +127,6 @@ class ScenarioRunner:
     specific_site: str
     events: list[ScenarioEvent] = field(default_factory=list)
     duration_s: float = 600.0
-    probe_interval: float = 1.5
     bucket_s: float = 10.0
     n_targets: int = 20
     #: explicit target AS nodes (overrides the first-n_targets default);
@@ -189,30 +184,14 @@ class ScenarioRunner:
 
     def run(self) -> ScenarioReport:
         """Execute the timeline and collect the availability series."""
-        network = self.topology.build_network(
-            seed=self.seed, timing=self.timing, damping=self.damping
+        # Capacity binds even without a workload: brownouts scale it.
+        controller, injector = deploy_cell(
+            self.topology, self.deployment, self.technique, self.specific_site,
+            seed=self.seed, timing=self.timing, damping=self.damping,
+            fault_plan=self.fault_plan, capacity=self.capacity,
+            detection_delay=self.detection_delay, recovery_grace=self.recovery_grace,
         )
-        capacity_state: CapacityState | None = None
-        if self.capacity is not None:
-            capacity_state = CapacityState(
-                self.capacity, self.deployment.site_names
-            )
-        controller = CdnController(
-            network=network,
-            deployment=self.deployment,
-            technique=self.technique,
-            prefix=SPECIFIC_PREFIX,
-            superprefix=SUPERPREFIX,
-            detection_delay=self.detection_delay,
-            recovery_grace=self.recovery_grace,
-            capacity_state=capacity_state,
-        )
-        controller.deploy(self.specific_site)
-        network.converge()
-        injector = None
-        if self.fault_plan is not None and len(self.fault_plan):
-            injector = FaultInjector(network, self.fault_plan, capacity=capacity_state)
-            injector.arm()
+        network = controller.network
 
         plane = ForwardingPlane(network, self.topology)
         capture = SiteCapture()
@@ -238,9 +217,7 @@ class ScenarioRunner:
         engine_cell: list[WorkloadEngine | None] = [None]
         ordered = sorted(self.events, key=lambda e: e.at)
         for event in ordered:
-            self._schedule(
-                network, controller, prober, event, capacity_state, engine_cell
-            )
+            self._schedule(network, controller, prober, event, engine_cell)
         # The phase tags give the availability ledger its run context
         # (technique, site); the scenario's focus site is the first
         # scripted event's target, or the deploy site for a quiet run.
@@ -250,31 +227,17 @@ class ScenarioRunner:
             "scenario", technique=self.technique.name, site=focus_site
         ):
             prober.start(
-                targets, interval=self.probe_interval, duration=self.duration_s
+                targets, interval=PROBE_INTERVAL_S, duration=self.duration_s
             )
-            workload_engine: WorkloadEngine | None = None
+            workload_engine = None
             if self.workload is not None:
-                workload_seed = (self.seed * 1000003) ^ zlib.crc32(
-                    f"scenario/{self.technique.name}/{focus_site}/workload".encode()
-                )
-                workload_engine = WorkloadEngine(
-                    plane,
-                    self.deployment,
-                    self.workload,
-                    seed=workload_seed,
-                    technique=self.technique.name,
-                    site=focus_site,
-                    dead_sites=prober.dead_sites,
-                    capacity=capacity_state,
-                    on_overload=(
-                        controller.site_overloaded
-                        if capacity_state is not None
-                        else None
-                    ),
+                workload_engine = attach_workload(
+                    controller, plane, self.workload,
+                    seed=self.seed, key=f"scenario/{self.technique.name}/{focus_site}",
+                    site=focus_site, dead_sites=prober.dead_sites, duration=self.duration_s,
                 )
                 engine_cell[0] = workload_engine
-                workload_engine.start(self.duration_s)
-            network.run_for(self.duration_s + 30.0)
+            network.run_for(self.duration_s + DRAIN_SLACK_S)
 
         report = self._report(prober, capture, start)
         if injector is not None:
@@ -282,49 +245,13 @@ class ScenarioRunner:
             report.faults_skipped = injector.skipped
         if workload_engine is not None:
             report.workload = workload_engine.account
-            if capacity_state is not None:
-                report.capacity_violations = self._check_capacity(
-                    network, workload_engine, capacity_state, prober
+            if controller.capacity_state is not None:
+                # Let routing settle before the capacity audit.
+                network.converge()
+                report.capacity_violations = tuple(
+                    v.format() for v in capacity_violations(workload_engine)
                 )
         return report
-
-    def _check_capacity(
-        self,
-        network,
-        workload_engine: WorkloadEngine,
-        capacity_state: CapacityState,
-        prober: Prober,
-    ) -> tuple[str, ...]:
-        """The post-convergence "no site over capacity" invariant.
-
-        Lets routing settle, then asks: if the workload's *peak* rate
-        were applied to the converged catchment, would any live site
-        exceed its effective capacity? Plain anycast under a regional
-        surge fails this (its catchment never moves); a converged shed
-        passes it.
-        """
-        from repro.faults.invariants import check_site_capacity
-
-        network.converge()
-
-        def resolve(client: str) -> str | None:
-            resolution = workload_engine.cache.resolve(client)
-            if resolution.reason is not None:
-                return None
-            site = resolution.site
-            if site is None or site in prober.dead_sites:
-                return None
-            return site
-
-        violations = check_site_capacity(
-            self.deployment,
-            self.workload,
-            capacity_state,
-            workload_engine.clients,
-            resolve,
-            regions=workload_engine.regions,
-        )
-        return tuple(v.format() for v in violations)
 
     def _schedule(
         self,
@@ -332,9 +259,10 @@ class ScenarioRunner:
         controller,
         prober,
         event: ScenarioEvent,
-        capacity_state: CapacityState | None,
         engine_cell: list,
     ) -> None:
+        capacity_state = controller.capacity_state
+
         def fire() -> None:
             if event.kind == "fail":
                 controller.fail_site(event.site)

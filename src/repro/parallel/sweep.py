@@ -18,9 +18,9 @@ Determinism guarantees (what makes ``--workers N`` byte-identical to
   scheduling order, or wall time;
 * results are merged in cell order, not completion order.
 
-A fresh :class:`FailoverExperiment` is rebuilt around the snapshot in
-each worker, which is exactly what the serial path does per cell minus
-the shared-state computation.
+A fresh experiment of the caller's class is rebuilt around the
+snapshot for each cell, in a worker or, with ``workers=1``, in-process:
+every ``workers`` value runs the same cell code.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ class SweepShared:
     #: computed once in the parent so every worker forks byte-identical
     #: baselines.
     baselines: dict[str, NetworkSnapshot] = field(default_factory=dict)
+    #: the experiment's class, so a subclass's cells run its own
+    #: ``prepare_network``/``run_site``
+    experiment_type: type[FailoverExperiment] = FailoverExperiment
 
 
 def shared_state(experiment: FailoverExperiment, cells: list[SweepCell]) -> SweepShared:
@@ -92,12 +95,13 @@ def shared_state(experiment: FailoverExperiment, cells: list[SweepCell]) -> Swee
         hitlist=experiment.hitlist,
         selections=experiment.cached_selections(),
         baselines=experiment.cached_baselines(),
+        experiment_type=type(experiment),
     )
 
 
 def _run_cell(shared: SweepShared, cell: SweepCell) -> SiteFailoverResult:
     """Worker entry point: one cell on a fresh experiment shell."""
-    experiment = FailoverExperiment(
+    experiment = shared.experiment_type(
         shared.topology,
         shared.deployment,
         shared.config,
@@ -154,10 +158,11 @@ def run_sweep(
 ) -> SweepReport:
     """Run every cell and return a :class:`SweepReport`.
 
-    ``workers=1`` runs in-process (the serial path); higher values shard
-    cells over worker processes. ``timeout_s`` bounds each cell's host
-    wall-clock time when workers are in play; an overdue or crashed cell
-    is reported as failed instead of hanging the sweep.
+    ``workers=1`` runs the cells in-process; higher values shard them
+    over worker processes. Both run the same cell code. ``timeout_s``
+    bounds each cell's host wall-clock time when workers are in play;
+    an overdue or crashed cell is reported as failed instead of hanging
+    the sweep.
     """
     shared = shared_state(experiment, cells)
     start = time.perf_counter()  # repro: noqa[DET004]

@@ -135,9 +135,6 @@ class Topology:
         """ASes that host web clients (the paper's target population)."""
         return [info for info in self.ases.values() if info.hosts_web_clients]
 
-    def in_region(self, region: str) -> list[AsInfo]:
-        return [info for info in self.ases.values() if info.location.region == region]
-
     def static_routes_cache(self) -> dict:
         """The shared static-route memo, cleared if the topology grew.
 

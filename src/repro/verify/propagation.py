@@ -181,19 +181,6 @@ class PropagationResult:
                 links.add(frozenset((node, neighbor)))
         return links
 
-    def forwarding_nodes(self) -> set[str]:
-        """Nodes that lie on some node's forwarding chain to the origin."""
-        on_path: set[str] = set()
-        for node in self.best:
-            current: str | None = node
-            seen: set[str] = set()
-            while current is not None and current not in seen:
-                seen.add(current)
-                on_path.add(current)
-                route = self.best.get(current)
-                current = route.learned_from if route is not None else None
-        return on_path
-
 
 def propagate(
     graph: SymbolicGraph,

@@ -22,7 +22,7 @@ from repro.core.techniques import (
     ReactiveAnycast,
 )
 from repro.net.addr import IPv4Address, IPv4Prefix
-from repro.topology.generator import TopologyParams, generate_topology
+from repro.topology.generator import TopologyParams
 from repro.topology.geo import place_in
 from repro.topology.relationships import AsClass, AsInfo
 from repro.topology.testbed import build_deployment

@@ -17,7 +17,7 @@ import pytest
 
 from repro import telemetry
 from repro.checkpoint import NetworkSnapshot
-from repro.core.controller import CdnController
+from repro.core.cell import deploy_cell
 from repro.core.experiment import FailoverConfig, FailoverExperiment, pooled_outcomes
 from repro.core.techniques import (
     Anycast,
@@ -30,7 +30,6 @@ from repro.measurement.export import sweep_report_to_dict
 from repro.measurement.stats import Cdf
 from repro.parallel import matrix, run_sweep
 from repro.bgp.session import SessionTiming
-from repro.topology.testbed import SPECIFIC_PREFIX, SUPERPREFIX
 
 #: Mild pacing (mirrors test_core_experiment.TEST_TIMING): enough
 #: dynamics to exercise MRAI/jitter state through the snapshot.
@@ -145,6 +144,21 @@ class TestPhasesAndDefaults:
         shared = shared_state(make_experiment(deployment), cells)
         assert sorted(shared.baselines) == sorted(t.baseline_key for t in techniques)
 
+    def test_sweep_cells_run_the_callers_subclass(self, deployment):
+        """``run_all_sites`` reaches the pool, which rebuilds an experiment
+        per cell; it must be the caller's class, or the cold-start
+        reference below would silently fork."""
+        prepared: list[str] = []
+
+        class Recording(FailoverExperiment):
+            def prepare_network(self, technique, site, **kwargs):
+                prepared.append(site)
+                return super().prepare_network(technique, site, **kwargs)
+
+        experiment = Recording(deployment.topology, deployment, make_config())
+        experiment.run_all_sites(Anycast(), ["msn"])
+        assert prepared == ["msn"]
+
 
 # ----------------------------------------------------------------------
 # Fork vs cold start, in distribution
@@ -155,22 +169,19 @@ class ColdStartExperiment(FailoverExperiment):
     run's seed and converges the technique's whole announcement plan
     (``CdnController.deploy``) instead of forking a baseline."""
 
-    def prepare_network(self, technique, site, *, seed, capacity_state):
+    def prepare_network(self, technique, site, *, seed, capacity):
         config = self.config
-        network = self.topology.build_network(
-            seed=seed, timing=config.timing, damping=config.damping
-        )
-        controller = CdnController(
-            network=network,
-            deployment=self.deployment,
-            technique=technique,
-            prefix=SPECIFIC_PREFIX,
-            superprefix=SUPERPREFIX,
+        controller, _ = deploy_cell(
+            self.topology,
+            self.deployment,
+            technique,
+            site,
+            seed=seed,
+            timing=config.timing,
+            damping=config.damping,
+            capacity=capacity,
             detection_delay=config.detection_delay,
-            capacity_state=capacity_state,
         )
-        controller.deploy(site)
-        network.converge()
         return controller
 
 

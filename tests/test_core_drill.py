@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.drill import RotationDrill
 from repro.core.techniques import ReactiveAnycast, Unicast
-from repro.topology.testbed import SECOND_PREFIX
+from repro.topology.testbed import SECOND_PREFIX, SPECIFIC_PREFIX
 
 from tests.conftest import FAST_TIMING
 
@@ -43,11 +43,14 @@ class TestRotationDrill:
         )
         outcomes = drill.run_rotation(clients)
         assert [o.site for o in outcomes] == deployment.site_names
+        assert drill.outcomes == outcomes  # recorded once per site
         assert drill.all_passed()
 
-    def test_uses_spare_prefix_by_default(self, deployment, topology):
-        drill = RotationDrill(topology, deployment, ReactiveAnycast())
-        assert drill.test_prefix == SECOND_PREFIX
+    def test_uses_spare_prefix_by_default(self):
+        """The drill fails the testbed's spare /24, never production's."""
+        from repro.core import drill
+
+        assert drill.SECOND_PREFIX == SECOND_PREFIX != SPECIFIC_PREFIX
 
     def test_all_passed_false_before_running(self, deployment, topology):
         drill = RotationDrill(topology, deployment, ReactiveAnycast())

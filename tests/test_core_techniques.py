@@ -156,10 +156,20 @@ class TestShedTechniques:
     def fresh_net(self, deployment):
         return deployment.topology.build_network(seed=2, timing=FAST_TIMING)
 
-    @pytest.mark.parametrize("factory", [ShedPrepend, ShedWithdraw, ShedDns])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            *TECHNIQUES.values(),
+            pytest.param(
+                lambda: ProactivePrepending(3, restrict_to_shared_neighbors=True),
+                id="ProactivePrepending-shared-neighbors",
+            ),
+        ],
+    )
     def test_base_plus_specific_matches_normal(self, deployment, factory):
-        """Checkpoint forking replays announce_base then announce_specific;
-        the decomposition must reproduce announce_normal exactly."""
+        """Every run forks: it replays announce_base then announce_specific,
+        and that decomposition must reproduce announce_normal's origin
+        configuration (prefix, prepend, MED, neighbours) at every site."""
         technique = factory()
         normal = self.fresh_net(deployment)
         technique.announce_normal(
@@ -171,9 +181,10 @@ class TestShedTechniques:
             forked, deployment, "sea1", SPECIFIC_PREFIX, SUPERPREFIX
         )
         for site in deployment.site_names:
-            assert originated(normal, deployment, site) == originated(
-                forked, deployment, site
-            ), site
+            node = deployment.site_node(site)
+            assert normal.router(node).export_origins() == forked.router(
+                node
+            ).export_origins(), site
 
     def test_shed_prepend_reoriginates_with_prepend(self, setup):
         dep, net = setup

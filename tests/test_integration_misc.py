@@ -5,6 +5,7 @@ import pytest
 
 from repro.bgp.damping import DampingConfig
 from repro.bgp.session import SessionTiming
+from repro.core.cell import PROBE_INTERVAL_S
 from repro.core.experiment import FailoverConfig, FailoverExperiment
 from repro.core.techniques import ReactiveAnycast
 from repro.dns.authoritative import AuthoritativeServer
@@ -75,7 +76,7 @@ class TestDampedExperiment:
 class TestConfigSurface:
     def test_failover_config_defaults_match_paper(self):
         config = FailoverConfig()
-        assert config.probe_interval == 1.5   # "every ~1.5s"
+        assert PROBE_INTERVAL_S == 1.5         # "every ~1.5s"
         assert config.probe_duration == 600.0  # "for ~600s"
         assert config.rtt_limit_ms == 50.0     # §5.1 proximity bound
         assert config.exclude_anycast_routed   # §5.1 criterion
@@ -85,4 +86,4 @@ class TestConfigSurface:
     def test_config_is_frozen(self):
         config = FailoverConfig()
         with pytest.raises(AttributeError):
-            config.probe_interval = 2.0
+            config.probe_duration = 2.0

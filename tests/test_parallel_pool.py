@@ -8,8 +8,6 @@ required, but the pool promises it works either way.
 import os
 import time
 
-import pytest
-
 from repro import telemetry
 from repro.parallel.pool import (
     STATUS_CRASHED,
